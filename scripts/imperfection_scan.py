@@ -41,9 +41,7 @@ def main():
     print("dark count scan (eta=0.9, v=1):")
     for dark in (0.0, 0.005, 0.02, 0.05):
         e, se = run(args.phi, args.trials, args.seed, eta=0.9, dark=dark)
-        # kept-trial dilution: detected photons against uniform dark fakes
-        dilution = 0.9 / (0.9 + 4 * 0.1 * dark)
-        pred = experiment.expected_correlation(args.phi, 1.0, 0.0) * dilution
+        pred = experiment.expected_correlation(args.phi, 1.0, 0.0, eta=0.9, dark=dark)
         print(f"  dark={dark:5.3f}   E={e:+.4f} +- {se:.4f}   diluted prediction {pred:+.4f}")
 
 

@@ -3,7 +3,7 @@
 
 The sign of the fitted correlation at phi = 0 versus phi = pi is the
 observable the whole setup exists for; the fitted amplitude should track
-visibility * exp(-sigma^2/2).
+visibility * exp(-sigma^2/2), diluted by dark counts when eta < 1.
 """
 
 import argparse
@@ -11,14 +11,6 @@ import argparse
 import numpy as np
 
 from extpoincare import __version__, experiment
-
-
-def fit_cosine(rows):
-    c = np.array([np.cos(r.phi) for r in rows])
-    e = np.array([r.e_xx for r in rows])
-    var = np.array([r.stderr ** 2 for r in rows])
-    denom = float(c @ c)
-    return float(c @ e) / denom, float(np.sqrt(c ** 2 @ var)) / denom
 
 
 def main():
@@ -30,7 +22,6 @@ def main():
     parser.add_argument("--eta", type=float, default=1.0)
     parser.add_argument("--dark", type=float, default=0.0)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--out", default="phase_sweep.csv")
     args = parser.parse_args()
 
@@ -38,15 +29,15 @@ def main():
         0.0, visibility=args.visibility, eta=args.eta, dark=args.dark,
         sigma=args.sigma, trials=args.trials, seed=args.seed)
     phis = np.linspace(0.0, 2 * np.pi, args.points)
-    rows = experiment.sweep_phase(phis, config, workers=args.workers)
+    rows = experiment.sweep_phase(phis, config)
 
     experiment.write_sweep_csv(rows, args.out)
-    manifest = experiment.run_manifest("scripts/phase_sweep.py", config,
-                                       args.workers, __version__)
+    manifest = experiment.run_manifest("scripts/phase_sweep.py", config, 1, __version__)
     experiment.write_manifest(manifest, args.out + ".manifest.json")
 
-    amplitude, stderr = fit_cosine(rows)
-    predicted = experiment.expected_correlation(0.0, args.visibility, args.sigma)
+    amplitude, stderr = experiment.fit_cosine(rows)
+    predicted = experiment.expected_correlation(0.0, args.visibility, args.sigma,
+                                                args.eta, args.dark)
     print(f"wrote {args.out} ({args.points} points x {args.trials} trials)")
     print(f"fitted amplitude  {amplitude:+.5f} +- {stderr:.5f}")
     print(f"predicted         {predicted:+.5f}")

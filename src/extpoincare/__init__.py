@@ -26,6 +26,7 @@ from .experiment import (
     ExperimentConfig,
     TrialTally,
     born_probabilities,
+    category_probabilities,
     estimate_exx,
     expected_correlation,
     prepare_state,
@@ -59,7 +60,8 @@ __all__ = [
     "apply_axial_boost", "apply_axial_rotation", "apply_translation",
     "apply_u_lambda_inf", "apply_u_minus_i", "check_covariance",
     "make_epsilon_eigenstate",
-    "ExperimentConfig", "TrialTally", "born_probabilities", "estimate_exx",
+    "ExperimentConfig", "TrialTally", "born_probabilities",
+    "category_probabilities", "estimate_exx",
     "expected_correlation", "prepare_state", "run_trials", "sweep_phase",
     "ExtPoincareElement", "LorentzMatrix", "OrbitClass", "alpha_z",
     "classify_orbit", "make_lambda_inf", "minkowski", "poincare_mul", "z_orbit",

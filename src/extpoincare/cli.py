@@ -5,7 +5,9 @@ Commands
     orbit         images of a momentum under the four discrete elements
     rep-check     doublet representation invariants
     bell-check    two-qubit dictionary invariants
-    experiment    run | sweep: Monte Carlo tallies as CSV plus a JSON manifest
+    experiment    run | sweep: Monte Carlo tallies as CSV plus a JSON manifest;
+                  --config also takes a manifest, refused unless it was
+                  written under the current stream version
 
 Exit status: 2 for input errors, 1 when an asserted invariant fails, 0
 otherwise.  Physics outcomes (signs, magnitudes, discarded trials) never
@@ -128,8 +130,16 @@ def _load_config_file(path) -> dict:
             doc = json.load(fh)
     except json.JSONDecodeError as err:
         raise ValueError(f"malformed config file {path}: {err}") from err
-    if "config" in doc and isinstance(doc["config"], dict):
-        doc = doc["config"]  # accept a manifest as a config source
+    if not isinstance(doc, dict):
+        raise ValueError(f"config file {path} must hold a JSON object")
+    if isinstance(doc.get("config"), dict):  # a manifest as a config source
+        version = doc.get("stream_version", 1)  # v1 manifests carry no version
+        if version != experiment.STREAM_VERSION:
+            raise ValueError(
+                f"manifest {path} records stream_version {version!r}, but this build "
+                f"draws under stream_version {experiment.STREAM_VERSION} and would "
+                "not reproduce its CSV")
+        doc = doc["config"]
     for key in doc:
         if key not in CONFIG_KEYS:
             raise ValueError(f"config file {path}: unknown key {key!r} "
@@ -146,8 +156,6 @@ def _build_config(args) -> experiment.ExperimentConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    values["trials"] = int(values["trials"])
-    values["seed"] = int(values["seed"])
     return experiment.ExperimentConfig(**values)
 
 
@@ -168,16 +176,18 @@ def _emit_experiment(args, rows, command: str, config) -> int:
 
 def _cmd_experiment(args) -> int:
     try:
+        if args.workers < 1:
+            raise ValueError(f"workers must be positive, got {args.workers}")
         config = _build_config(args)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     if args.subcommand == "run":
-        rows = experiment.sweep_phase([config.phi], config, workers=args.workers)
+        rows = experiment.sweep_phase([config.phi], config)
         command = "experiment run"
     else:
         phis = np.linspace(args.start, args.stop, args.points)
-        rows = experiment.sweep_phase(phis, config, workers=args.workers)
+        rows = experiment.sweep_phase(phis, config)
         command = "experiment sweep"
     return _emit_experiment(args, rows, command, config)
 
@@ -236,7 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
         ep.add_argument("--sigma", type=float, default=None)
         ep.add_argument("--trials", type=int, default=None)
         ep.add_argument("--seed", type=int, default=None)
-        ep.add_argument("--workers", type=int, default=1)
+        ep.add_argument("--workers", type=int, default=1,
+                        help="recorded in the manifest; each point is one draw, "
+                             "so the count changes no work and no result")
         ep.add_argument("--out", default=None, help="CSV path; manifest goes next to it")
         if name == "sweep":
             ep.add_argument("--start", type=float, default=0.0)

@@ -18,11 +18,15 @@ counts fire each detector independently per trial.  Coincidence policy:
 trials with exactly one click are kept (the clicked detector fixes both
 outcomes), everything else is discarded.  No recovery heuristics.
 
-Reproducibility: trials are processed in fixed chunks of 65536; chunk c draws
-from numpy's PCG64 seeded with SeedSequence([seed, c]), with draw order
-(phase jitter, outcome, efficiency, dark).  Worker partitioning assigns whole
-chunks, so tallies merge to the same result for any worker count.  Sweep
-point j runs with seed XOR j.
+Sampling: trials are independent and identically distributed, so each one
+falls into one of five categories, a lone click at D1..D4 or discarded, with
+probabilities known in closed form (``category_probabilities``).  A whole
+point is one multinomial draw of its trial count over those categories.
+
+Reproducibility (stream rule v2): sweep point j, and point 0 for a single
+run, draws that multinomial from numpy's PCG64 seeded with
+SeedSequence(seed, spawn_key=(j,)).  Spawn keys give every (seed, point)
+pair its own stream, so no two runs or sweep points share samples.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+import numbers
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from typing import Iterable, Sequence
@@ -45,15 +49,17 @@ ANALYZER = np.kron(HADAMARD, HADAMARD)
 
 OUTCOMES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 DETECTORS = {"D1": (1, 1), "D2": (1, -1), "D3": (-1, 1), "D4": (-1, -1)}
-
-TRIALS_PER_STREAM = 1 << 16
+# x_dir * x_pol of each outcome: the sign a click at that detector adds to E_XX
+SIGNS = np.array([xd * xp for xd, xp in OUTCOMES], dtype=float)
 
 CSV_COLUMNS = ("phi_rad", "trials", "kept", "discarded",
                "n_pp", "n_pm", "n_mp", "n_mm", "e_xx", "stderr", "expected")
 
-STREAM_RULE = ("trials run in chunks of 65536; chunk c uses "
-               "numpy default_rng(SeedSequence([seed, c])) drawing phase jitter, "
-               "outcome, efficiency, dark in that order; sweep point j uses seed XOR j")
+STREAM_VERSION = 2
+STREAM_RULE = ("stream v2: sweep point j (0 for a single run) draws "
+               "numpy default_rng(SeedSequence(seed, spawn_key=(j,))).multinomial(trials, p), "
+               "p the closed-form probabilities of a lone click at D1, D2, D3, D4 "
+               "and of a discarded trial, in that order")
 
 
 @dataclass(frozen=True)
@@ -63,8 +69,9 @@ class ExperimentConfig:
     phi: preparation phase (rad).  visibility: contrast in [0, 1].
     eta: detector efficiency in [0, 1], uniform over the four detectors.
     dark: per-detector dark click probability per trial, in [0, 1).
-    sigma: phase jitter standard deviation (rad).  trials: positive count.
-    seed: 64-bit stream seed.
+    sigma: phase jitter standard deviation (rad).  trials: count in [1, 2**63).
+    seed: stream seed in [0, 2**64).  Every real field must be finite, and
+    bools are rejected where a number is expected.
     """
 
     phi: float
@@ -76,8 +83,15 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not math.isfinite(self.phi):
-            raise ValueError(f"phi must be finite, got {self.phi}")
+        for name in ("phi", "visibility", "eta", "dark", "sigma"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        for name in ("trials", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError(f"visibility must be in [0, 1], got {self.visibility}")
         if not 0.0 <= self.eta <= 1.0:
@@ -86,10 +100,10 @@ class ExperimentConfig:
             raise ValueError(f"dark must be in [0, 1), got {self.dark}")
         if self.sigma < 0.0:
             raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be positive, got {self.trials}")
-        if not -(2 ** 63) <= self.seed < 2 ** 64:
-            raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
+        if not 1 <= self.trials < 2 ** 63:
+            raise ValueError(f"trials must be in [1, 2**63), got {self.trials}")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
 
 @dataclass
@@ -107,10 +121,6 @@ class TrialTally:
     @property
     def trials(self) -> int:
         return self.kept + self.discarded
-
-    def merge(self, other: "TrialTally") -> "TrialTally":
-        merged = {o: self.counts[o] + other.counts[o] for o in OUTCOMES}
-        return TrialTally(merged, self.discarded + other.discarded)
 
 
 def prepare_state(phi: float, visibility: float = 1.0):
@@ -159,70 +169,54 @@ def correlation_from_probabilities(probs: dict[tuple[int, int], float]) -> float
     return float(sum(xd * xp * p for (xd, xp), p in probs.items()))
 
 
-def expected_correlation(phi: float, visibility: float = 1.0, sigma: float = 0.0) -> float:
-    """Analytic prediction v * exp(-sigma^2/2) * cos(phi) the sampler converges to."""
-    if not 0.0 <= visibility <= 1.0:
-        raise ValueError(f"visibility must be in [0, 1], got {visibility}")
-    if sigma < 0.0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
-    return float(visibility * math.exp(-0.5 * sigma * sigma) * math.cos(phi))
+def category_probabilities(config: ExperimentConfig) -> np.ndarray:
+    """Probabilities of the five trial categories: a lone click at D1..D4, then discarded.
 
-
-def _dephased_chain_probs() -> np.ndarray:
-    rho = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
-    return np.real(np.diag(ANALYZER @ rho @ ANALYZER.conj().T))
-
-
-def _run_chunk(config: ExperimentConfig, chunk: int, n: int) -> TrialTally:
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed & (2 ** 64 - 1), chunk]))
-    phis = config.phi + config.sigma * rng.standard_normal(n)
-
-    # per-trial pure amplitudes through the analyzer, one matmul for the chunk
-    amps = np.zeros((n, 4), dtype=complex)
-    amps[:, 0] = 1.0 / math.sqrt(2.0)
-    amps[:, 3] = np.exp(1j * phis) / math.sqrt(2.0)
-    pure = np.abs(amps @ ANALYZER.T) ** 2
-    probs = config.visibility * pure + (1.0 - config.visibility) * _dephased_chain_probs()
-
-    cumulative = np.cumsum(probs, axis=1)
-    u = rng.random(n)
-    outcome = (u[:, None] > cumulative).sum(axis=1)
-    outcome = np.minimum(outcome, 3)  # guard rounding at the top of the cdf
-
-    detected = rng.random(n) < config.eta
-    clicks = rng.random((n, 4)) < config.dark
-    clicks[np.arange(n), outcome] |= detected
-
-    n_clicks = clicks.sum(axis=1)
-    single = n_clicks == 1
-    fired = np.argmax(clicks[single], axis=1)
-    per_outcome = np.bincount(fired, minlength=4)
-    counts = {o: int(per_outcome[i]) for i, o in enumerate(OUTCOMES)}
-    return TrialTally(counts, discarded=int(n - single.sum()))
-
-
-def run_trials(config: ExperimentConfig, workers: int = 1) -> TrialTally:
-    """Sample the configured number of trials; deterministic for a fixed config.
-
-    ``workers`` only distributes whole RNG chunks over threads; the merged
-    tally is identical for any worker count.
+    Averaging the Born weights over the Gaussian phase jitter gives
+    q_j = (1 + s_j V cos phi)/4 with s_j the detector's sign in ``SIGNS`` and
+    V = v exp(-sigma^2/2).  The photon clicks its detector with probability
+    eta and each detector fires a dark click with probability d, all
+    independently, so detector j clicks alone with probability
+    (1-d)^3 (eta q_j + (1-eta) d).  Every other trial ends with no click or
+    several and is discarded.  ``config.phi`` is the phase used; trials and
+    seed are ignored.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be positive, got {workers}")
-    sizes = []
-    remaining = config.trials
-    while remaining > 0:
-        sizes.append(min(TRIALS_PER_STREAM, remaining))
-        remaining -= sizes[-1]
-    if workers == 1:
-        tallies = [_run_chunk(config, c, n) for c, n in enumerate(sizes)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            tallies = list(pool.map(lambda cn: _run_chunk(config, *cn), enumerate(sizes)))
-    total = TrialTally()
-    for t in tallies:
-        total = total.merge(t)
-    return total
+    v = config.visibility * math.exp(-0.5 * config.sigma * config.sigma)
+    q = (1.0 + SIGNS * (v * math.cos(config.phi))) / 4.0
+    lone = (1.0 - config.dark) ** 3 * (config.eta * q + (1.0 - config.eta) * config.dark)
+    return np.append(lone, max(0.0, 1.0 - float(lone.sum())))
+
+
+def expected_correlation(phi: float, visibility: float = 1.0, sigma: float = 0.0,
+                         eta: float = 1.0, dark: float = 0.0) -> float | None:
+    """E_XX over kept trials, the value the sampler converges to.
+
+    The signed sum of the four lone-click probabilities over their total.
+    Without dark counts this is v exp(-sigma^2/2) cos(phi) for any eta; dark
+    clicks after photon loss dilute it to eta V cos(phi) / (eta + 4 (1-eta) d).
+    Returns None when no trial is ever kept (eta = dark = 0).
+    """
+    config = ExperimentConfig(phi, visibility=visibility, eta=eta, dark=dark, sigma=sigma)
+    lone = category_probabilities(config)[:4]
+    total = float(lone.sum())
+    if total == 0.0:
+        return None
+    return float(SIGNS @ lone) / total
+
+
+def point_seed(seed: int, point: int) -> np.random.SeedSequence:
+    """Seed sequence of sweep point ``point`` under master ``seed`` (stream rule v2)."""
+    return np.random.SeedSequence(seed, spawn_key=(point,))
+
+
+def run_trials(config: ExperimentConfig, point: int = 0) -> TrialTally:
+    """Tally ``config.trials`` trials as one multinomial draw on the point's stream.
+
+    Deterministic for a fixed config and point; ``experiment run`` is point 0.
+    """
+    rng = np.random.default_rng(point_seed(config.seed, point))
+    n = rng.multinomial(config.trials, category_probabilities(config))
+    return TrialTally(dict(zip(OUTCOMES, map(int, n[:4]))), discarded=int(n[4]))
 
 
 def estimate_exx(tally: TrialTally) -> tuple[float, float]:
@@ -237,36 +231,46 @@ def estimate_exx(tally: TrialTally) -> tuple[float, float]:
     return float(e), float(stderr)
 
 
-def sweep_seed(seed: int, index: int) -> int:
-    """Per-point stream seed for sweeps: master seed XOR point index."""
-    return (seed & (2 ** 64 - 1)) ^ index
-
-
 @dataclass(frozen=True)
 class SweepRow:
     phi: float
     tally: TrialTally
     e_xx: float | None
     stderr: float | None
-    expected: float
+    expected: float | None
 
 
-def sweep_phase(phis: Sequence[float], config: ExperimentConfig,
-                workers: int = 1) -> list[SweepRow]:
-    """Run one tally per phase with derived per-point seeds."""
+def sweep_phase(phis: Sequence[float], config: ExperimentConfig) -> list[SweepRow]:
+    """Run one tally per phase, point j on its own stream."""
     if len(phis) == 0:
         raise ValueError("phase sweep needs at least one point")
     rows = []
     for j, phi in enumerate(phis):
-        cfg = replace(config, phi=float(phi), seed=sweep_seed(config.seed, j))
-        tally = run_trials(cfg, workers=workers)
+        cfg = replace(config, phi=float(phi))
+        tally = run_trials(cfg, point=j)
         if tally.kept > 0:
             e, stderr = estimate_exx(tally)
         else:
             e, stderr = None, None
-        rows.append(SweepRow(float(phi), tally, e, stderr,
-                             expected_correlation(phi, config.visibility, config.sigma)))
+        rows.append(SweepRow(cfg.phi, tally, e, stderr,
+                             expected_correlation(cfg.phi, cfg.visibility, cfg.sigma,
+                                                  cfg.eta, cfg.dark)))
     return rows
+
+
+def fit_cosine(rows: Iterable[SweepRow]) -> tuple[float, float]:
+    """Least-squares amplitude A of e_xx = A cos(phi) and its standard error.
+
+    Rows without an estimate (every trial discarded) are left out.
+    """
+    fitted = [r for r in rows if r.e_xx is not None]
+    c = np.array([np.cos(r.phi) for r in fitted])
+    e = np.array([r.e_xx for r in fitted])
+    var = np.array([r.stderr ** 2 for r in fitted])
+    denom = float(c @ c)
+    if denom == 0.0:
+        raise ValueError("cosine fit needs an estimated row with cos(phi) != 0")
+    return float(c @ e) / denom, float(np.sqrt(c ** 2 @ var)) / denom
 
 
 def sweep_csv_text(rows: Iterable[SweepRow]) -> str:
@@ -281,7 +285,7 @@ def sweep_csv_text(rows: Iterable[SweepRow]) -> str:
             t.counts[(1, 1)], t.counts[(1, -1)], t.counts[(-1, 1)], t.counts[(-1, -1)],
             "" if row.e_xx is None else repr(row.e_xx),
             "" if row.stderr is None else repr(row.stderr),
-            repr(row.expected),
+            "" if row.expected is None else repr(row.expected),
         ])
     return buf.getvalue()
 
@@ -293,7 +297,10 @@ def write_sweep_csv(rows: Iterable[SweepRow], path) -> None:
 
 def run_manifest(command: str, config: ExperimentConfig, workers: int,
                  version: str) -> dict:
-    """Audit record accompanying every output file; rerunning it reproduces the CSV."""
+    """Audit record accompanying every output file; rerunning it reproduces the CSV.
+
+    ``workers`` is recorded as given; it does not change the draw.
+    """
     return {
         "command": command,
         "config": {
@@ -306,6 +313,7 @@ def run_manifest(command: str, config: ExperimentConfig, workers: int,
             "seed": config.seed,
         },
         "workers": workers,
+        "stream_version": STREAM_VERSION,
         "stream_rule": STREAM_RULE,
         "version": version,
         "timestamp": datetime.now(timezone.utc).isoformat(),

@@ -29,16 +29,6 @@ def test_criterion_1_eigenvalue_correlation():
     _announce(1, "X-X expectation equals the swap eigenvalue by both routes", started)
 
 
-def _fit_cosine_amplitude(rows):
-    c = np.array([np.cos(r.phi) for r in rows])
-    e = np.array([r.e_xx for r in rows])
-    var = np.array([r.stderr ** 2 for r in rows])
-    denom = float(c @ c)
-    amplitude = float(c @ e) / denom
-    stderr = float(np.sqrt(c ** 2 @ var)) / denom
-    return amplitude, stderr
-
-
 def test_criterion_2_phase_dictionary():
     started = time.perf_counter()
     for phi, target in ((0.0, 1.0), (np.pi, -1.0)):
@@ -50,7 +40,7 @@ def test_criterion_2_phase_dictionary():
         config = experiment.ExperimentConfig(0.0, visibility=v, sigma=sigma,
                                              trials=20_000, seed=77)
         rows = experiment.sweep_phase(phis, config)
-        amplitude, fit_stderr = _fit_cosine_amplitude(rows)
+        amplitude, fit_stderr = experiment.fit_cosine(rows)
         target = v * np.exp(-sigma ** 2 / 2)
         assert abs(amplitude - target) <= 3 * fit_stderr, (v, sigma, amplitude, fit_stderr)
     _announce(2, "phase settings 0 and pi give +-1 and sweeps fit v*exp(-sigma^2/2)*cos(phi)",

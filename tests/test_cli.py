@@ -142,7 +142,7 @@ def test_experiment_zero_efficiency_keeps_running(tmp_path, capsys):
                     "--trials", "500", "--seed", "1", "--out", str(out_file)])
     assert code == 0
     cells = out_file.read_text().strip().split("\n")[1].split(",")
-    assert cells[8] == "" and cells[9] == ""
+    assert cells[8] == "" and cells[9] == "" and cells[10] == ""
     assert int(cells[3]) == 500
     assert "discarded" in capsys.readouterr().err
 
@@ -150,6 +150,32 @@ def test_experiment_zero_efficiency_keeps_running(tmp_path, capsys):
 def test_experiment_rejects_out_of_range_flags(capsys):
     assert run_cli(["experiment", "run", "--phi", "0", "--visibility", "1.5"]) == 2
     assert "visibility" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, field", [
+    (["--sigma", "nan"], "sigma"),
+    (["--sigma", "inf"], "sigma"),
+    (["--visibility", "nan"], "visibility"),
+    (["--eta", "nan"], "eta"),
+    (["--dark", "inf"], "dark"),
+    (["--trials", str(2 ** 63)], "trials"),
+    (["--seed", "-1"], "seed"),
+    (["--seed", str(2 ** 64)], "seed"),
+    (["--workers", "0"], "workers"),
+])
+def test_experiment_rejects_bad_inputs_naming_the_field(flags, field, capsys):
+    assert run_cli(["experiment", "run", "--trials", "1000"] + flags) == 2
+    captured = capsys.readouterr()
+    assert field in captured.err
+    assert captured.out == ""
+
+
+def test_experiment_config_file_rejects_bools(tmp_path, capsys):
+    for key in ("trials", "seed"):
+        config = tmp_path / f"{key}.json"
+        config.write_text(json.dumps({"phi": 0.0, key: True}))
+        assert run_cli(["experiment", "run", "--config", str(config)]) == 2
+        assert key in capsys.readouterr().err
 
 
 def test_experiment_config_file_with_flag_override(tmp_path):
@@ -168,11 +194,30 @@ def test_experiment_manifest_reruns_reproduce_the_csv(tmp_path):
     first = tmp_path / "first.csv"
     assert run_cli(["experiment", "run", "--phi", "0.3", "--trials", "30000",
                     "--seed", "21", "--out", str(first)]) == 0
+    manifest = json.loads((tmp_path / "first.csv.manifest.json").read_text())
+    assert manifest["stream_version"] == 2
     second = tmp_path / "second.csv"
     assert run_cli(["experiment", "run",
                     "--config", str(tmp_path / "first.csv.manifest.json"),
                     "--out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_experiment_refuses_a_manifest_from_another_stream_version(tmp_path, capsys):
+    first = tmp_path / "first.csv"
+    assert run_cli(["experiment", "run", "--phi", "0.3", "--trials", "3000",
+                    "--seed", "21", "--out", str(first)]) == 0
+    manifest = json.loads((tmp_path / "first.csv.manifest.json").read_text())
+    capsys.readouterr()
+    v1 = dict(manifest)
+    del v1["stream_version"]  # v1 manifests had no version field
+    for doc in (v1, dict(manifest, stream_version=3)):
+        path = tmp_path / "old.manifest.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(["experiment", "run", "--config", str(path),
+                        "--out", str(tmp_path / "rerun.csv")]) == 2
+        assert "stream_version" in capsys.readouterr().err
+        assert not (tmp_path / "rerun.csv").exists()
 
 
 def test_experiment_unknown_config_key_is_pointed_at(tmp_path, capsys):

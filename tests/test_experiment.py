@@ -1,19 +1,22 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from extpoincare import experiment
 from extpoincare.experiment import (
     ExperimentConfig,
     TrialTally,
     born_probabilities,
+    category_probabilities,
     correlation_from_probabilities,
     estimate_exx,
     expected_correlation,
+    point_seed,
     prepare_state,
     run_trials,
     sweep_phase,
-    sweep_seed,
 )
 from extpoincare.qubit import O_XX
 
@@ -111,6 +114,20 @@ def test_config_validation_names_the_offending_field():
         ExperimentConfig(0.0, sigma=-1.0)
     with pytest.raises(ValueError, match="trials"):
         ExperimentConfig(0.0, trials=0)
+    for name in ("phi", "visibility", "eta", "dark", "sigma"):
+        for bad in (float("nan"), float("inf"), float("-inf"), True, "0.5"):
+            with pytest.raises(ValueError, match=name):
+                ExperimentConfig(**{"phi": 0.0, name: bad})
+    for name in ("trials", "seed"):
+        for bad in (True, False, 10.0, "10"):
+            with pytest.raises(ValueError, match=name):
+                ExperimentConfig(0.0, **{name: bad})
+    with pytest.raises(ValueError, match="trials"):
+        ExperimentConfig(0.0, trials=2 ** 63)
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(ValueError, match="seed"):
+            ExperimentConfig(0.0, seed=seed)
+    ExperimentConfig(0.0, trials=2 ** 63 - 1, seed=2 ** 64 - 1)
 
 
 def test_same_seed_same_tally():
@@ -120,14 +137,6 @@ def test_same_seed_same_tally():
     t2 = run_trials(config)
     assert t1.counts == t2.counts
     assert t1.discarded == t2.discarded
-
-
-def test_worker_count_does_not_change_the_tally():
-    config = ExperimentConfig(0.4, eta=0.9, dark=0.005, trials=200_000, seed=7)
-    t1 = run_trials(config, workers=1)
-    t4 = run_trials(config, workers=4)
-    assert t1.counts == t4.counts
-    assert t1.discarded == t4.discarded
 
 
 def test_zero_efficiency_discards_everything():
@@ -221,9 +230,69 @@ def test_sweep_signs_and_seed_derivation():
     rows = sweep_phase([0.0, np.pi], config)
     assert rows[0].e_xx > 0.5
     assert rows[1].e_xx < -0.5
-    # point j reruns exactly under seed XOR j
-    again = run_trials(ExperimentConfig(np.pi, trials=20_000, seed=sweep_seed(42, 1)))
+    # point j reruns exactly as point j of the master seed
+    again = run_trials(ExperimentConfig(np.pi, trials=20_000, seed=42), point=1)
     assert again.counts == rows[1].tally.counts
+    assert again.discarded == rows[1].tally.discarded
+    first = run_trials(ExperimentConfig(0.0, trials=20_000, seed=42))
+    assert first.counts == rows[0].tally.counts
+
+
+def test_point_streams_never_overlap():
+    # under seed XOR j, point 1 of seed 4 was point 0 of seed 5; spawn keys
+    # give each (seed, point) pair its own state
+    states = {tuple(point_seed(seed, j).generate_state(4))
+              for seed in range(16) for j in range(16)}
+    assert len(states) == 256
+    for seed, j in ((4, 1), (0, 5), (7, 7)):
+        aliased = seed ^ j
+        a = np.random.default_rng(point_seed(seed, j)).random(8)
+        b = np.random.default_rng(point_seed(aliased, 0)).random(8)
+        assert not np.any(a == b)
+    config = ExperimentConfig(0.9, eta=0.8, dark=0.02, trials=100_000, seed=4)
+    assert run_trials(config, point=1) != run_trials(replace(config, seed=5), point=0)
+
+
+valid_settings = dict(
+    phi=st.floats(-1e6, 1e6),
+    visibility=st.floats(0, 1),
+    sigma=st.floats(0, 1e6),
+    eta=st.floats(0, 1),
+    dark=st.floats(0, 1, exclude_max=True),
+)
+
+
+@given(**valid_settings)
+def test_category_probabilities_are_a_distribution(phi, visibility, sigma, eta, dark):
+    p = category_probabilities(ExperimentConfig(phi, visibility=visibility, eta=eta,
+                                                dark=dark, sigma=sigma))
+    assert p.shape == (5,)
+    assert np.all(np.isfinite(p))
+    assert np.all(p >= 0.0)
+    assert p.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@given(**valid_settings)
+def test_expected_correlation_is_the_diluted_closed_form(phi, visibility, sigma, eta, dark):
+    expected = expected_correlation(phi, visibility, sigma, eta, dark)
+    keep = eta + 4.0 * (1.0 - eta) * dark
+    if eta == 0.0 and dark == 0.0:
+        assert expected is None
+        return
+    # near-zero keep probabilities lose the ratio to underflow
+    assume(keep > 1e-100)
+    v = visibility * np.exp(-0.5 * sigma * sigma)
+    assert expected == pytest.approx(eta * v * np.cos(phi) / keep, rel=1e-9, abs=1e-12)
+
+
+def test_monte_carlo_tracks_the_diluted_prediction():
+    # eta = 0.5, dark = 0.05: lone dark clicks after photon loss dilute E_XX
+    # to 0.5 V cos(phi) / 0.6
+    config = ExperimentConfig(0.0, visibility=0.9, sigma=0.2, eta=0.5, dark=0.05,
+                              trials=400_000, seed=31)
+    row = sweep_phase([0.0], config)[0]
+    assert row.expected == pytest.approx(0.5 * 0.9 * np.exp(-0.02) / 0.6, abs=1e-12)
+    assert abs(row.e_xx - row.expected) < 4 * row.stderr
 
 
 def test_sweep_midpoint_fluctuates_around_zero():
@@ -261,4 +330,4 @@ def test_csv_empty_estimate_cells_when_all_discarded():
     rows = sweep_phase([0.0], config)
     text = experiment.sweep_csv_text(rows)
     cells = text.strip().split("\n")[1].split(",")
-    assert cells[8] == "" and cells[9] == ""
+    assert cells[8] == "" and cells[9] == "" and cells[10] == ""
