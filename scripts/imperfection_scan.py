@@ -23,6 +23,10 @@ def main():
     parser.add_argument("--trials", type=int, default=200_000)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    try:
+        experiment.ExperimentConfig(args.phi, trials=args.trials, seed=args.seed)
+    except ValueError as err:
+        parser.error(str(err))
 
     print(f"phi = {args.phi}, {args.trials} trials per setting\n")
 

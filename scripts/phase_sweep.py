@@ -25,24 +25,30 @@ def main():
     parser.add_argument("--out", default="phase_sweep.csv")
     args = parser.parse_args()
 
-    config = experiment.ExperimentConfig(
-        0.0, visibility=args.visibility, eta=args.eta, dark=args.dark,
-        sigma=args.sigma, trials=args.trials, seed=args.seed)
-    phis = np.linspace(0.0, 2 * np.pi, args.points)
-    rows = experiment.sweep_phase(phis, config)
+    try:
+        config = experiment.ExperimentConfig(
+            0.0, visibility=args.visibility, eta=args.eta, dark=args.dark,
+            sigma=args.sigma, trials=args.trials, seed=args.seed)
+        phis = np.linspace(0.0, 2 * np.pi, args.points)
+        rows = experiment.sweep_phase(phis, config)
 
-    experiment.write_sweep_csv(rows, args.out)
-    manifest = experiment.run_manifest("scripts/phase_sweep.py", config, 1, __version__)
-    experiment.write_manifest(manifest, args.out + ".manifest.json")
+        experiment.write_sweep_csv(rows, args.out)
+        manifest = experiment.run_manifest("scripts/phase_sweep.py", config, 1, __version__)
+        experiment.write_manifest(manifest, args.out + ".manifest.json")
 
-    amplitude, stderr = experiment.fit_cosine(rows)
+        amplitude, stderr = experiment.fit_cosine(rows)
+    except (ValueError, OSError) as err:
+        parser.error(str(err))
     predicted = experiment.expected_correlation(0.0, args.visibility, args.sigma,
                                                 args.eta, args.dark)
     print(f"wrote {args.out} ({args.points} points x {args.trials} trials)")
     print(f"fitted amplitude  {amplitude:+.5f} +- {stderr:.5f}")
     print(f"predicted         {predicted:+.5f}")
     e0, epi = rows[0].e_xx, rows[args.points // 2].e_xx
-    print(f"E at phi=0: {e0:+.4f}   E at phi=pi: {epi:+.4f}   sign flip: {e0 * epi < 0}")
+    if e0 is None or epi is None:
+        print("E at phi=0 or phi=pi: every trial discarded, no sign to compare")
+    else:
+        print(f"E at phi=0: {e0:+.4f}   E at phi=pi: {epi:+.4f}   sign flip: {e0 * epi < 0}")
 
 
 if __name__ == "__main__":

@@ -35,7 +35,6 @@ from .experiment import (
 )
 from .group import (
     ExtPoincareElement,
-    LorentzMatrix,
     OrbitClass,
     alpha_z,
     classify_orbit,
@@ -63,7 +62,7 @@ __all__ = [
     "ExperimentConfig", "TrialTally", "born_probabilities",
     "category_probabilities", "estimate_exx",
     "expected_correlation", "prepare_state", "run_trials", "sweep_phase",
-    "ExtPoincareElement", "LorentzMatrix", "OrbitClass", "alpha_z",
+    "ExtPoincareElement", "OrbitClass", "alpha_z",
     "classify_orbit", "make_lambda_inf", "minkowski", "poincare_mul", "z_orbit",
     "O_XX", "QubitObservable", "TwoQubitState", "entanglement_entropy",
     "expectation_equality", "iota", "sector_isometry",

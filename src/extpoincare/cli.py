@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -80,6 +81,10 @@ def _cmd_group_check(args) -> int:
 
 
 def _cmd_orbit(args) -> int:
+    fields = dict(zip(("P0", "P1", "P2", "P3"), args.p), theta=args.theta, phi=args.phi)
+    for name, value in fields.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     p = np.array(args.p, dtype=float)
     rows = group.z_orbit(p, args.theta, args.phi, args.convention)
     doc = {
@@ -213,7 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_group_check)
 
     p = sub.add_parser("orbit", help="discrete orbit of a momentum")
-    p.add_argument("p", type=float, nargs=4, metavar=("P0", "P1", "P2", "P3"))
+    # a one-word metavar: argparse cannot print a usage error for a tuple one
+    p.add_argument("p", type=float, nargs=4, metavar="P",
+                   help="momentum P0 P1 P2 P3; write -- first if one is like -1.5e-05")
     p.add_argument("--theta", type=float, default=0.0)
     p.add_argument("--phi", type=float, default=0.0)
     p.add_argument("--convention", choices=("momentum", "coordinate"), default="momentum")

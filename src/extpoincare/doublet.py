@@ -30,7 +30,11 @@ LEAK_WARN_THRESHOLD = 1e-6
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Log-spaced positive frequencies omega_min * ratio**i along one direction."""
+    """Log-spaced positive frequencies omega_min * ratio**i along one direction.
+
+    Every real field must be finite.  A lattice that climbs past the float
+    range is accepted; its top frequencies are inf and translations on it NaN.
+    """
 
     omega_min: float
     ratio: float
@@ -40,6 +44,9 @@ class FrequencyGrid:
     helicity: int = 1
 
     def __post_init__(self):
+        for name in ("omega_min", "ratio", "theta", "phi", "helicity"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.omega_min <= 0:
             raise ValueError(f"omega_min must be positive, got {self.omega_min}")
         if self.ratio <= 1:
@@ -303,8 +310,8 @@ def check_covariance(s: DoubletState, g: AxialElement, discrete: str = "lambda-i
         raise ValueError(f"discrete element must be 'lambda-inf' or 'minus-i', got {discrete!r}")
     lhs = swap(apply_axial(swap(s), g))
     rhs = apply_axial(s, AxialElement(a_conj, g.boost, g.rotation))
-    return float(max(np.max(np.abs(lhs.psi_fwd - rhs.psi_fwd)),
-                     np.max(np.abs(lhs.psi_bwd - rhs.psi_bwd))))
+    return float(np.maximum(np.max(np.abs(lhs.psi_fwd - rhs.psi_fwd)),
+                            np.max(np.abs(lhs.psi_bwd - rhs.psi_bwd))))
 
 
 def doublet_to_json(s: DoubletState) -> str:

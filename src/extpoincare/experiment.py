@@ -196,7 +196,10 @@ def expected_correlation(phi: float, visibility: float = 1.0, sigma: float = 0.0
     clicks after photon loss dilute it to eta V cos(phi) / (eta + 4 (1-eta) d).
     Returns None when no trial is ever kept (eta = dark = 0).
     """
-    config = ExperimentConfig(phi, visibility=visibility, eta=eta, dark=dark, sigma=sigma)
+    return _expected(ExperimentConfig(phi, visibility=visibility, eta=eta, dark=dark, sigma=sigma))
+
+
+def _expected(config: ExperimentConfig) -> float | None:
     lone = category_probabilities(config)[:4]
     total = float(lone.sum())
     if total == 0.0:
@@ -252,9 +255,7 @@ def sweep_phase(phis: Sequence[float], config: ExperimentConfig) -> list[SweepRo
             e, stderr = estimate_exx(tally)
         else:
             e, stderr = None, None
-        rows.append(SweepRow(cfg.phi, tally, e, stderr,
-                             expected_correlation(cfg.phi, cfg.visibility, cfg.sigma,
-                                                  cfg.eta, cfg.dark)))
+        rows.append(SweepRow(cfg.phi, tally, e, stderr, _expected(cfg)))
     return rows
 
 

@@ -10,11 +10,13 @@ representation spaces live elsewhere.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
+ID4 = np.eye(4)
 
 Z_TAGS = ("I", "-I", "lambda-inf", "-lambda-inf")
 
@@ -42,20 +44,6 @@ def lightlike_representative(omega: float, theta: float = 0.0, phi: float = 0.0)
     return p
 
 
-@dataclass(frozen=True, eq=False)
-class LorentzMatrix:
-    """A 4x4 linear part with a label saying which component it came from."""
-
-    matrix: np.ndarray
-    tag: str = "proper-orthochronous"
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (4, 4):
-            raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-        object.__setattr__(self, "matrix", m)
-
-
 def coordinate_swap(theta: float, phi: float) -> np.ndarray:
     """Involution exchanging t with n.x and fixing the orthogonal spatial plane."""
     n = direction_unit(theta, phi)
@@ -67,7 +55,7 @@ def coordinate_swap(theta: float, phi: float) -> np.ndarray:
 
 
 def make_lambda_inf(theta: float = 0.0, phi: float = 0.0,
-                    convention: str = "momentum") -> LorentzMatrix:
+                    convention: str = "momentum") -> np.ndarray:
     """Superluminal involution along n(theta, phi).
 
     ``coordinate`` returns the swap S itself (t <-> n.x), which fixes the
@@ -79,19 +67,14 @@ def make_lambda_inf(theta: float = 0.0, phi: float = 0.0,
     if convention not in ("momentum", "coordinate"):
         raise ValueError(f"unknown convention {convention!r}")
     s = coordinate_swap(theta, phi)
-    return LorentzMatrix(-s if convention == "momentum" else s, "lambda-inf")
+    return -s if convention == "momentum" else s
 
 
 def z_set(theta: float = 0.0, phi: float = 0.0,
-          convention: str = "momentum") -> list[LorentzMatrix]:
-    """The four discrete extension elements {I, -I, lambda_inf, -lambda_inf}."""
-    li = make_lambda_inf(theta, phi, convention).matrix
-    return [
-        LorentzMatrix(np.eye(4), "I"),
-        LorentzMatrix(-np.eye(4), "-I"),
-        LorentzMatrix(li, "lambda-inf"),
-        LorentzMatrix(-li, "-lambda-inf"),
-    ]
+          convention: str = "momentum") -> list[np.ndarray]:
+    """The four discrete extension elements {I, -I, lambda_inf, -lambda_inf}, in Z_TAGS order."""
+    li = make_lambda_inf(theta, phi, convention)
+    return [np.eye(4), -np.eye(4), li, -li]
 
 
 def boost_matrix(axis, rapidity: float) -> np.ndarray:
@@ -148,56 +131,44 @@ def eta_deviation(m) -> float:
 
 @dataclass(frozen=True, eq=False)
 class ExtPoincareElement:
-    """Pair (linear part, translation) with the semidirect product law."""
+    """Pair (4x4 linear part, translation) with the semidirect product law."""
 
-    linear: LorentzMatrix
+    linear: np.ndarray
     translation: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.translation, dtype=float)
-        if a.shape != (4,):
-            raise ValueError(f"translation must be a 4-vector, got shape {a.shape}")
-        object.__setattr__(self, "translation", a)
+        for name, shape in (("linear", (4, 4)), ("translation", (4,))):
+            a = np.asarray(getattr(self, name), dtype=float)
+            if a.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
+            object.__setattr__(self, name, a)
 
 
 def poincare_identity() -> ExtPoincareElement:
-    return ExtPoincareElement(LorentzMatrix(np.eye(4), "I"), np.zeros(4))
-
-
-def _product_tag(left: str, right: str) -> str:
-    if left == "I":
-        return right
-    if right == "I":
-        return left
-    return "product"
+    return ExtPoincareElement(np.eye(4), np.zeros(4))
 
 
 def poincare_mul(g: ExtPoincareElement, g2: ExtPoincareElement) -> ExtPoincareElement:
     """(h, a)(h', a') = (h h', a + h a')."""
-    linear = LorentzMatrix(g.linear.matrix @ g2.linear.matrix,
-                           _product_tag(g.linear.tag, g2.linear.tag))
-    return ExtPoincareElement(linear, g.translation + g.linear.matrix @ g2.translation)
+    return ExtPoincareElement(g.linear @ g2.linear, g.translation + g.linear @ g2.translation)
 
 
 def poincare_inverse(g: ExtPoincareElement) -> ExtPoincareElement:
-    minv = np.linalg.inv(g.linear.matrix)
-    tag = g.linear.tag if g.linear.tag in Z_TAGS else "product"
-    return ExtPoincareElement(LorentzMatrix(minv, tag), -(minv @ g.translation))
+    minv = np.linalg.inv(g.linear)
+    return ExtPoincareElement(minv, -(minv @ g.translation))
 
 
-def alpha_z(z: LorentzMatrix, n: ExtPoincareElement) -> ExtPoincareElement:
+def alpha_z(z, n: ExtPoincareElement) -> ExtPoincareElement:
     """Automorphism (h, a) -> (z h z^-1, z a) for z in the discrete extension set.
 
-    Every z in the set is its own inverse, so the conjugate is z h z.  Whether
-    the conjugate of a proper orthochronous h lands back in that component is
-    not asserted here; see the eta-deviation report in the CLI.
+    Every z in the set is its own inverse, so the conjugate is z h z; a z with
+    z @ z != I is rejected.  Whether the conjugate of a proper orthochronous h
+    lands back in that component is not asserted here; see the CLI report.
     """
-    if z.tag not in Z_TAGS:
-        raise ValueError(f"alpha_z needs z tagged as one of {Z_TAGS}, got {z.tag!r}")
-    zm = z.matrix
-    conj_tag = "I" if n.linear.tag == "I" else "product"
-    return ExtPoincareElement(LorentzMatrix(zm @ n.linear.matrix @ zm, conj_tag),
-                              zm @ n.translation)
+    z = np.asarray(z, dtype=float)
+    if z.shape != (4, 4) or not abs(z @ z - ID4).max() <= 1e-12:
+        raise ValueError("alpha_z needs a 4x4 involution z (z @ z = I to 1e-12)")
+    return ExtPoincareElement(z @ n.linear @ z, z @ n.translation)
 
 
 class OrbitClass(enum.Enum):
@@ -214,11 +185,20 @@ def classify_orbit(p) -> OrbitClass:
 
     |eta(p,p)| below 1e-9 times the squared Euclidean norm counts as
     lightlike; the zero vector gets its own flag rather than an exception.
+    A NaN or infinite component is rejected.
     """
     p = np.asarray(p, dtype=float)
-    scale = float(p @ p)
-    if scale == 0.0:
-        return OrbitClass.ZERO
+    scale = sum(x * x for x in p.tolist())  # plain floats overflow to inf without a warning
+    if not 1e-300 < scale < 1e300:
+        # zero, non-finite, or near under- or overflow: the classes are
+        # invariant under positive scaling, so divide by the largest component
+        peak = float(abs(p).max())
+        if not math.isfinite(peak):
+            raise ValueError(f"momentum components must be finite, got {p.tolist()}")
+        if peak == 0.0:
+            return OrbitClass.ZERO
+        p = p / peak
+        scale = float(p @ p)
     inv = minkowski(p, p)
     if abs(inv) < LIGHTLIKE_BAND * scale:
         return OrbitClass.LIGHTLIKE_FORWARD if p[0] > 0 else OrbitClass.LIGHTLIKE_BACKWARD
@@ -232,11 +212,12 @@ def z_orbit(p, theta: float = 0.0, phi: float = 0.0,
     """Images of p under the four discrete elements, with orbit labels.
 
     For a timelike p the image classes always cover both massive classes and
-    the tachyonic one: the extended group merges those orbits.
+    the tachyonic one: the extended group merges those orbits.  A non-finite
+    image (NaN or infinite input, or overflow) is rejected by classify_orbit.
     """
     p = np.asarray(p, dtype=float)
     out = []
-    for z in z_set(theta, phi, convention):
-        image = z.matrix @ p
-        out.append((z.tag, image, classify_orbit(image)))
+    for tag, z in zip(Z_TAGS, z_set(theta, phi, convention)):
+        image = z @ p
+        out.append((tag, image, classify_orbit(image)))
     return out

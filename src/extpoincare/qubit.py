@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .doublet import DoubletState
+from .doublet import DoubletState, FrequencyGrid, apply_u_lambda_inf
 
 BASIS = ("+H", "+V", "-H", "-V")
 
@@ -73,23 +73,25 @@ O_XX = QubitObservable(PAULI_X, PAULI_X)
 
 @dataclass(frozen=True, eq=False)
 class BlockOperator:
-    """Operator on stacked doublets (psi_fwd; psi_bwd), stored dense."""
+    """iota(A x B) on stacked doublets (psi_fwd; psi_bwd), kept as its validated factors.
 
-    matrix: np.ndarray
+    Block (i, j) is b_ij * A; on V's (N, 2) relabelling W it acts as W -> A W B^T.
+    """
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
-            raise ValueError(f"expected a square even-dimension matrix, got {m.shape}")
-        object.__setattr__(self, "matrix", m)
+    a: np.ndarray
+    b: np.ndarray
 
     @property
     def sector_dim(self) -> int:
-        return self.matrix.shape[0] // 2
+        return self.a.shape[0]
 
     def block(self, i: int, j: int) -> np.ndarray:
-        n = self.sector_dim
-        return self.matrix[i * n:(i + 1) * n, j * n:(j + 1) * n]
+        return self.b[i, j] * self.a
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense 2N x 2N form kron(B, A), the reference the factored action is tested against."""
+        return np.kron(self.b, self.a)
 
 
 def stack(s: DoubletState) -> np.ndarray:
@@ -112,22 +114,24 @@ def isometry_matrix(n: int) -> np.ndarray:
 
 
 def iota(a, b) -> BlockOperator:
-    """Embed A x B as the block matrix with blocks b_ij * A on the stacked doublet."""
+    """Embed A x B as the block operator with blocks b_ij * A on the stacked doublet."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"A must be square, got shape {a.shape}")
     if b.shape != (2, 2):
         raise ValueError(f"B must be 2x2, got shape {b.shape}")
-    return BlockOperator(np.kron(b, a))
+    return BlockOperator(a, b)
 
 
 def apply_block(op: BlockOperator, s: DoubletState) -> DoubletState:
+    """The block action on a doublet: sector i becomes sum_j b_ij A psi_j."""
     n = s.grid.count
     if op.sector_dim != n:
         raise ValueError(f"operator sector dimension {op.sector_dim} != grid size {n}")
-    out = op.matrix @ stack(s)
-    return DoubletState(s.grid, out[:n], out[n:])
+    a_fwd, a_bwd = op.a @ s.psi_fwd, op.a @ s.psi_bwd
+    (b00, b01), (b10, b11) = op.b
+    return DoubletState(s.grid, b00 * a_fwd + b01 * a_bwd, b10 * a_fwd + b11 * a_bwd)
 
 
 def u_lambda_block(n: int) -> BlockOperator:
@@ -137,21 +141,23 @@ def u_lambda_block(n: int) -> BlockOperator:
 
 def expectation_equality(s: DoubletState, a, b) -> tuple[complex, complex, float]:
     """Both sides of <Psi, iota(AxB) Psi> = <V Psi, (AxB) V Psi> and their gap."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    vec = stack(s)
-    lhs = complex(np.vdot(vec, iota(a, b).matrix @ vec))
+    op = iota(a, b)
+    lhs = complex(np.vdot(stack(s), stack(apply_block(op, s))))
     w = sector_isometry(s)
-    rhs = complex(np.vdot(w, a @ w @ b.T))
+    rhs = complex(np.vdot(w, op.a @ w @ op.b.T))
     return lhs, rhs, abs(lhs - rhs)
 
 
 def u_lambda_conjugation_check(n: int) -> float:
-    """Max entrywise deviation of V U_swap V^-1 from I x sigma_x at sector dimension n."""
-    v = isometry_matrix(n)
-    conjugated = v @ u_lambda_block(n).matrix @ v.T
-    target = np.kron(np.eye(n), PAULI_X)
-    return float(np.max(np.abs(conjugated - target)))
+    """Max deviation of V U(lambda_inf) V^-1 from I x sigma_x at sector dimension n.
+
+    Both sides permute the 2N basis vectors, so they are equal exactly when
+    they move the distinct labels 0..2N-1, in the (point, sector) basis, alike.
+    """
+    labels = np.arange(2.0 * n).reshape(n, 2)
+    grid = FrequencyGrid(1.0, 2.0, n)
+    conjugated = sector_isometry(apply_u_lambda_inf(DoubletState(grid, labels[:, 0], labels[:, 1])))
+    return float(np.max(np.abs(conjugated - labels @ PAULI_X.T)))
 
 
 def entanglement_entropy(t: TwoQubitState) -> float:

@@ -120,7 +120,7 @@ def test_criterion_5_group_suite():
     started = time.perf_counter()
     for theta in np.linspace(0, np.pi, 10):
         for phi in np.linspace(0, 2 * np.pi, 10):
-            m = group.make_lambda_inf(theta, phi).matrix
+            m = group.make_lambda_inf(theta, phi)
             assert np.max(np.abs(m @ m - np.eye(4))) <= 1e-12
             p0 = group.lightlike_representative(1.0, theta, phi)
             assert np.max(np.abs(m @ p0 + p0)) <= 1e-12

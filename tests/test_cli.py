@@ -1,8 +1,13 @@
 import json
+import runpy
+import sys
+from pathlib import Path
 
 import pytest
 
 from extpoincare import cli
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def run_cli(args):
@@ -58,6 +63,45 @@ def test_orbit_zero_vector_warns(capsys):
     captured = capsys.readouterr()
     assert "zero" in captured.out
     assert "warning" in captured.err
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["nan", "0", "0", "0"], "P0"),
+    (["1", "0", "inf", "0"], "P2"),
+    (["1", "0", "0", "0", "--theta", "nan"], "theta"),
+    (["1", "0", "0", "0", "--phi=-inf"], "phi"),
+])
+def test_orbit_rejects_non_finite_input_naming_the_field(argv, field, capsys):
+    assert run_cli(["orbit", *argv]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_orbit_exponent_form_negative_number(capsys):
+    # argparse reads -1.5e-05 as an option; it must end in a usage error, not a crash
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["orbit", "-1.5e-05", "0", "0", "1"])
+    assert exc.value.code == 2
+    assert "usage" in capsys.readouterr().err
+    assert run_cli(["orbit", "--", "-1.5e-05", "0", "0", "1"]) == 0
+    assert "tachyonic" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("script, argv", [
+    ("phase_sweep.py", ["--eta", "0", "--dark", "0", "--trials", "100"]),
+    ("phase_sweep.py", ["--points", "0"]),
+    ("phase_sweep.py", ["--sigma", "-1"]),
+    ("imperfection_scan.py", ["--trials", "0"]),
+    ("imperfection_scan.py", ["--phi", "nan"]),
+])
+def test_scripts_exit_2_on_input_errors(script, argv, tmp_path, monkeypatch, capsys):
+    path = SCRIPTS / script
+    monkeypatch.setattr(sys, "argv", [str(path), *argv, *(
+        ["--out", str(tmp_path / "sweep.csv")] if script == "phase_sweep.py" else [])])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(path), run_name="__main__")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
 
 
 def test_rep_check_passes(capsys):

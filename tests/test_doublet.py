@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from extpoincare import doublet, group
+from extpoincare import checks, doublet, group
 from extpoincare.doublet import (
     AxialElement,
     DoubletState,
@@ -53,6 +55,43 @@ def test_grid_validation():
         FrequencyGrid(1.0, 1.0, 4)
     with pytest.raises(ValueError):
         FrequencyGrid(1.0, 1.25, 0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("omega_min", math.nan), ("omega_min", math.inf), ("ratio", math.nan),
+    ("ratio", math.inf), ("theta", math.nan), ("phi", -math.inf),
+])
+def test_grid_rejects_non_finite_fields(field, value):
+    kwargs = {"omega_min": 1.0, "ratio": 1.25, "count": 4, field: value}
+    with pytest.raises(ValueError, match=field):
+        FrequencyGrid(**kwargs)
+
+
+@given(st.floats(), st.floats(), st.integers(1, 64), st.floats(), st.floats())
+def test_grid_inputs_are_rejected_or_give_finite_output(omega_min, ratio, count, theta, phi):
+    try:
+        grid = FrequencyGrid(omega_min, ratio, count, theta=theta, phi=phi)
+    except ValueError:
+        return
+    assert math.isfinite(grid.step()) and grid.step() > 0
+    assert np.all(np.isfinite(grid.direction()))
+    with np.errstate(over="ignore"):
+        w = grid.omegas()
+    # only a lattice whose ratio**i or omega_min * ratio**i passes the float
+    # range (e**709.78) reaches inf
+    assert np.all(w > 0) and not np.any(np.isnan(w))
+    span = (count - 1) * grid.step()
+    if span < 700 and math.log(omega_min) + span < 700:
+        assert np.all(np.isfinite(w))
+
+
+def test_rep_checks_fail_when_an_overflowing_lattice_gives_nan():
+    # omega = 1.25**4095 overflows, so every translation phase is NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        results = checks.rep_checks(4096, trials=1)
+    failed = [r for r in results if not r.passed]
+    assert "unitarity of every representation operator" in {r.name for r in failed}
+    assert all(math.isnan(r.max_deviation) for r in failed)
 
 
 def test_translation_identity():
@@ -307,7 +346,7 @@ def test_covariance_mixed_elements_off_axis_grid():
 def test_conjugated_axial_matrices_are_unchanged():
     # matrix-level counterpart of the closed form used by check_covariance
     for theta, phi in [(0.0, 0.0), (0.8, 2.1)]:
-        li = group.make_lambda_inf(theta, phi).matrix
+        li = group.make_lambda_inf(theta, phi)
         n_hat = group.direction_unit(theta, phi)
         b = group.boost_matrix(n_hat, 0.9)
         r = group.rotation_matrix(n_hat, 1.3)

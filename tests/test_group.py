@@ -21,7 +21,7 @@ def test_minkowski_is_symmetric_and_bilinear(u, v, a, b):
 
 
 def test_coordinate_convention_swaps_t_and_z():
-    m = group.make_lambda_inf(0.0, 0.0, "coordinate").matrix
+    m = group.make_lambda_inf(0.0, 0.0, "coordinate")
     expected = np.array([
         [0, 0, 0, 1],
         [0, 1, 0, 0],
@@ -32,14 +32,14 @@ def test_coordinate_convention_swaps_t_and_z():
 
 
 def test_momentum_convention_reverses_aligned_representative():
-    m = group.make_lambda_inf(0.0, 0.0, "momentum").matrix
+    m = group.make_lambda_inf(0.0, 0.0, "momentum")
     p0 = np.array([1.0, 0.0, 0.0, 1.0])
     assert np.max(np.abs(m @ p0 + p0)) < 1e-12
 
 
 def test_momentum_convention_fixes_representative_under_negative():
     for theta, phi in [(0.0, 0.0), (0.7, 1.3), (np.pi / 2, np.pi)]:
-        li = group.make_lambda_inf(theta, phi, "momentum").matrix
+        li = group.make_lambda_inf(theta, phi, "momentum")
         p0 = group.lightlike_representative(1.7, theta, phi)
         assert np.max(np.abs(li @ p0 + p0)) < 1e-12
         assert np.max(np.abs(-li @ p0 - p0)) < 1e-12
@@ -47,7 +47,7 @@ def test_momentum_convention_fixes_representative_under_negative():
 
 @given(angles, angles, st.sampled_from(["momentum", "coordinate"]))
 def test_involution_squares_to_identity(theta, phi, convention):
-    m = group.make_lambda_inf(theta, phi, convention).matrix
+    m = group.make_lambda_inf(theta, phi, convention)
     assert np.max(np.abs(m @ m - np.eye(4))) < 1e-12
 
 
@@ -55,7 +55,7 @@ def test_involution_squares_on_angle_grid():
     for theta in np.linspace(0, np.pi, 10):
         for phi in np.linspace(0, 2 * np.pi, 10):
             for convention in ("momentum", "coordinate"):
-                m = group.make_lambda_inf(theta, phi, convention).matrix
+                m = group.make_lambda_inf(theta, phi, convention)
                 assert np.max(np.abs(m @ m - np.eye(4))) < 1e-12
 
 
@@ -76,33 +76,33 @@ def test_generated_elements_are_proper_orthochronous():
 def test_identity_is_neutral():
     rng = np.random.default_rng(3)
     g = group.ExtPoincareElement(
-        group.LorentzMatrix(group.random_proper_orthochronous(rng)),
+        group.random_proper_orthochronous(rng),
         rng.uniform(-1, 1, 4))
     e = group.poincare_identity()
     for prod in (group.poincare_mul(e, g), group.poincare_mul(g, e)):
-        assert np.array_equal(prod.linear.matrix, g.linear.matrix)
+        assert np.array_equal(prod.linear, g.linear)
         assert np.array_equal(prod.translation, g.translation)
 
 
 def test_pure_translations_add():
     a = np.array([1.0, 2.0, -3.0, 0.5])
     b = np.array([-0.5, 0.0, 1.0, 4.0])
-    ga = group.ExtPoincareElement(group.LorentzMatrix(np.eye(4), "I"), a)
-    gb = group.ExtPoincareElement(group.LorentzMatrix(np.eye(4), "I"), b)
+    ga = group.ExtPoincareElement(np.eye(4), a)
+    gb = group.ExtPoincareElement(np.eye(4), b)
     prod = group.poincare_mul(ga, gb)
     assert np.array_equal(prod.translation, a + b)
-    assert np.array_equal(prod.linear.matrix, np.eye(4))
+    assert np.array_equal(prod.linear, np.eye(4))
 
 
 def test_rotation_acts_on_the_translation():
     # R_z(pi/2) sends the x translation to the y translation
     rz = group.rotation_matrix([0, 0, 1], np.pi / 2)
-    g1 = group.ExtPoincareElement(group.LorentzMatrix(rz), np.zeros(4))
-    g2 = group.ExtPoincareElement(group.LorentzMatrix(np.eye(4), "I"),
+    g1 = group.ExtPoincareElement(rz, np.zeros(4))
+    g2 = group.ExtPoincareElement(np.eye(4),
                                   np.array([0.0, 1.0, 0.0, 0.0]))
     prod = group.poincare_mul(g1, g2)
     assert np.max(np.abs(prod.translation - np.array([0.0, 0.0, 1.0, 0.0]))) < 1e-12
-    assert np.array_equal(prod.linear.matrix, rz)
+    assert np.array_equal(prod.linear, rz)
 
 
 def test_product_associativity_and_inverses():
@@ -110,39 +110,39 @@ def test_product_associativity_and_inverses():
     for _ in range(100):
         # rapidity capped at 2: the round trip rounds at eps * cond(M)
         gs = [group.ExtPoincareElement(
-                group.LorentzMatrix(group.random_proper_orthochronous(rng, max_rapidity=2.0)),
+                group.random_proper_orthochronous(rng, max_rapidity=2.0),
                 rng.uniform(-2, 2, 4)) for _ in range(3)]
         left = group.poincare_mul(group.poincare_mul(gs[0], gs[1]), gs[2])
         right = group.poincare_mul(gs[0], group.poincare_mul(gs[1], gs[2]))
-        assert np.max(np.abs(left.linear.matrix - right.linear.matrix)) < 1e-12
+        assert np.max(np.abs(left.linear - right.linear)) < 1e-12
         assert np.max(np.abs(left.translation - right.translation)) < 1e-12
         for prod in (group.poincare_mul(gs[0], group.poincare_inverse(gs[0])),
                      group.poincare_mul(group.poincare_inverse(gs[0]), gs[0])):
-            assert np.max(np.abs(prod.linear.matrix - np.eye(4))) < 1e-12
+            assert np.max(np.abs(prod.linear - np.eye(4))) < 1e-12
             assert np.max(np.abs(prod.translation)) < 1e-12
 
 
 def test_alpha_z_identity_element_does_nothing():
     rng = np.random.default_rng(5)
     n = group.ExtPoincareElement(
-        group.LorentzMatrix(group.random_proper_orthochronous(rng)),
+        group.random_proper_orthochronous(rng),
         rng.uniform(-1, 1, 4))
     zi = group.z_set()[0]
     out = group.alpha_z(zi, n)
-    assert np.array_equal(out.linear.matrix, n.linear.matrix)
+    assert np.array_equal(out.linear, n.linear)
     assert np.array_equal(out.translation, n.translation)
 
 
 def test_alpha_z_minus_identity_flips_translations():
     a = np.array([0.3, -1.0, 2.0, 0.7])
-    n = group.ExtPoincareElement(group.LorentzMatrix(np.eye(4), "I"), a)
+    n = group.ExtPoincareElement(np.eye(4), a)
     out = group.alpha_z(group.z_set()[1], n)
     assert np.max(np.abs(out.translation + a)) < 1e-15
-    assert np.max(np.abs(out.linear.matrix - np.eye(4))) < 1e-15
+    assert np.max(np.abs(out.linear - np.eye(4))) < 1e-15
 
 
 def test_alpha_z_lambda_inf_on_time_translation():
-    n = group.ExtPoincareElement(group.LorentzMatrix(np.eye(4), "I"),
+    n = group.ExtPoincareElement(np.eye(4),
                                  np.array([1.0, 0.0, 0.0, 0.0]))
     z = group.make_lambda_inf(0.0, 0.0, "momentum")
     out = group.alpha_z(z, n)
@@ -151,25 +151,35 @@ def test_alpha_z_lambda_inf_on_time_translation():
 
 def test_alpha_z_requires_discrete_tag():
     rng = np.random.default_rng(2)
-    h = group.LorentzMatrix(group.random_proper_orthochronous(rng))
+    h = group.random_proper_orthochronous(rng)
     n = group.poincare_identity()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="involution"):
         group.alpha_z(h, n)
+
+
+@pytest.mark.parametrize("z", [
+    2.0 * group.make_lambda_inf(),
+    np.full((4, 4), np.nan),
+    np.eye(3),
+])
+def test_alpha_z_rejects_anything_but_a_4x4_involution(z):
+    with pytest.raises(ValueError, match="involution"):
+        group.alpha_z(z, group.poincare_identity())
 
 
 def test_alpha_z_is_a_product_automorphism():
     rng = np.random.default_rng(13)
     for _ in range(50):
         n1 = group.ExtPoincareElement(
-            group.LorentzMatrix(group.random_proper_orthochronous(rng)),
+            group.random_proper_orthochronous(rng),
             rng.uniform(-2, 2, 4))
         n2 = group.ExtPoincareElement(
-            group.LorentzMatrix(group.random_proper_orthochronous(rng)),
+            group.random_proper_orthochronous(rng),
             rng.uniform(-2, 2, 4))
         for z in group.z_set(0.4, 0.9):
             lhs = group.poincare_mul(group.alpha_z(z, n1), group.alpha_z(z, n2))
             rhs = group.alpha_z(z, group.poincare_mul(n1, n2))
-            assert np.max(np.abs(lhs.linear.matrix - rhs.linear.matrix)) < 1e-12
+            assert np.max(np.abs(lhs.linear - rhs.linear)) < 1e-12
             assert np.max(np.abs(lhs.translation - rhs.translation)) < 1e-12
 
 
@@ -177,11 +187,11 @@ def test_alpha_z_is_involutive():
     rng = np.random.default_rng(17)
     for _ in range(100):
         n = group.ExtPoincareElement(
-            group.LorentzMatrix(group.random_proper_orthochronous(rng)),
+            group.random_proper_orthochronous(rng),
             rng.uniform(-2, 2, 4))
         for z in group.z_set(1.2, 0.3):
             nn = group.alpha_z(z, group.alpha_z(z, n))
-            assert np.max(np.abs(nn.linear.matrix - n.linear.matrix)) < 1e-12
+            assert np.max(np.abs(nn.linear - n.linear)) < 1e-12
             assert np.max(np.abs(nn.translation - n.translation)) < 1e-12
 
 
@@ -195,6 +205,39 @@ def test_alpha_z_is_involutive():
 ])
 def test_classify_orbit_examples(p, expected):
     assert group.classify_orbit(np.array(p, dtype=float)) is expected
+
+
+@pytest.mark.parametrize("p", [(np.nan, 0, 0, 0), (1, np.inf, 0, 0), (0, 0, -np.inf, 1)])
+def test_classify_orbit_rejects_non_finite_momenta(p):
+    with pytest.raises(ValueError, match="finite"):
+        group.classify_orbit(np.array(p, dtype=float))
+
+
+@given(st.lists(st.integers(-100, 100), min_size=4, max_size=4), st.integers(-900, 900))
+def test_classify_orbit_is_exactly_scale_invariant(p, k):
+    # scaling by 2**k is exact, so only overflow or underflow could change the class
+    p = np.array(p, dtype=float)
+    assert group.classify_orbit(p * 2.0 ** k) is group.classify_orbit(p)
+
+
+anything = st.floats()  # NaN and both infinities included
+
+
+@given(st.tuples(anything, anything, anything, anything), anything, anything,
+       st.sampled_from(["momentum", "coordinate"]))
+def test_momentum_inputs_are_rejected_or_give_finite_output(p, theta, phi, convention):
+    finite = all(np.isfinite([*p, theta, phi]))
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = group.z_orbit(np.array(p), theta, phi, convention)
+    except ValueError:
+        # rejected: a non-finite input, or an image past the float range
+        assert not finite or max(map(abs, p)) > 1e307
+        return
+    assert finite
+    for _, image, cls in rows:
+        assert np.all(np.isfinite(image))
+        assert isinstance(cls, OrbitClass)
 
 
 def test_classify_orbit_tolerance_band():
@@ -243,7 +286,7 @@ def test_pairing_sign_flip_on_the_time_direction_plane():
     rng = np.random.default_rng(29)
     for _ in range(50):
         theta, phi = rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)
-        li = group.make_lambda_inf(theta, phi).matrix
+        li = group.make_lambda_inf(theta, phi)
         e_t = np.array([1.0, 0, 0, 0])
         e_n = np.concatenate([[0.0], group.direction_unit(theta, phi)])
         u = rng.uniform(-2, 2) * e_t + rng.uniform(-2, 2) * e_n

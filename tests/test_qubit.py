@@ -7,6 +7,7 @@ from extpoincare.qubit import (
     ID2,
     PAULI_X,
     TwoQubitState,
+    apply_block,
     doublet_to_path_polarization,
     entanglement_entropy,
     expectation_equality,
@@ -108,6 +109,46 @@ def test_expectation_equality_random_triples():
 def test_conjugated_swap_is_identity_tensor_sigma_x():
     assert u_lambda_conjugation_check(1) == 0.0
     assert u_lambda_conjugation_check(8) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 6])
+def test_factored_iota_matches_the_dense_oracle(n):
+    rng = np.random.default_rng(40 + n)
+    grid = FrequencyGrid(1.0, 1.25, n)
+    for _ in range(20):
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        op = iota(a, b)
+        dense = np.kron(b, a)
+        assert op.sector_dim == n
+        assert np.array_equal(op.matrix, dense)
+        for i in range(2):
+            for j in range(2):
+                assert np.array_equal(op.block(i, j), dense[i * n:(i + 1) * n, j * n:(j + 1) * n])
+        s = random_state(rng, grid)
+        assert np.max(np.abs(stack(apply_block(op, s)) - op.matrix @ stack(s))) < 1e-12
+
+
+def test_iota_validates_its_factors():
+    with pytest.raises(ValueError, match="square"):
+        iota(np.ones((2, 3)), ID2)
+    with pytest.raises(ValueError, match="2x2"):
+        iota(np.eye(4), np.eye(3))
+    with pytest.raises(ValueError, match="grid size"):
+        apply_block(iota(np.eye(4), ID2), random_state(np.random.default_rng(0)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 6])
+def test_conjugation_check_matches_the_dense_oracle(n):
+    v = qubit.isometry_matrix(n)
+    conjugated = v @ u_lambda_block(n).matrix @ v.T
+    dense = float(np.max(np.abs(conjugated - np.kron(np.eye(n), PAULI_X))))
+    assert u_lambda_conjugation_check(n) == dense == 0.0
+
+
+def test_conjugation_check_detects_a_swap_that_does_not_swap(monkeypatch):
+    monkeypatch.setattr(qubit, "apply_u_lambda_inf", lambda s: s)
+    assert u_lambda_conjugation_check(6) == 1.0
 
 
 def test_isometry_sends_eigenstates_to_orthonormal_sigma_x_eigenvectors():
