@@ -13,6 +13,7 @@ index-aligned.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
@@ -57,23 +58,34 @@ class FrequencyGrid:
             raise ValueError(f"helicity must be an integer, got {self.helicity}")
 
     def omegas(self) -> np.ndarray:
-        return self.omega_min * self.ratio ** np.arange(self.count)
+        """The lattice frequencies, computed once per grid; the array is read-only."""
+        return self._omegas
+
+    @functools.cached_property
+    def _omegas(self) -> np.ndarray:
+        i = np.arange(self.count)
+        with np.errstate(over="ignore"):
+            w = self.omega_min * self.ratio ** i
+            # ratio**i can overflow where omega_min * ratio**i does not:
+            # those points are taken in log space instead
+            far = np.isinf(w)
+            w[far] = np.exp(math.log(self.omega_min) + i[far] * math.log(self.ratio))
+        w.flags.writeable = False
+        return w
 
     def direction(self) -> np.ndarray:
-        return group.direction_unit(self.theta, self.phi)
+        """The unit vector n(theta, phi), computed once per grid; the array is read-only."""
+        return self._direction
+
+    @functools.cached_property
+    def _direction(self) -> np.ndarray:
+        n = group.direction_unit(self.theta, self.phi)
+        n.flags.writeable = False
+        return n
 
     def step(self) -> float:
         """Lattice spacing in log-frequency; boosts shift by multiples of it."""
         return math.log(self.ratio)
-
-
-def forward_momenta(grid: FrequencyGrid) -> np.ndarray:
-    """(N, 4) array of forward-sector momenta omega_i * (1, n)."""
-    w = grid.omegas()
-    p = np.empty((grid.count, 4))
-    p[:, 0] = w
-    p[:, 1:] = np.outer(w, grid.direction())
-    return p
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,9 +157,12 @@ class AxialElement:
 
 
 def apply_translation(s: DoubletState, a) -> DoubletState:
-    """Multiply each amplitude by exp(i eta(p, a)) at its lattice momentum."""
+    """Multiply each amplitude by exp(i eta(p, a)) at its lattice momentum.
+
+    For p = omega_i (1, n) the pairing is eta(p, a) = omega_i (a0 - n.a).
+    """
     a = np.asarray(a, dtype=float)
-    phases = np.exp(1j * (forward_momenta(s.grid) @ (group.METRIC @ a)))
+    phases = np.exp(1j * (s.grid.omegas() * (a[0] - s.grid.direction() @ a[1:])))
     return DoubletState(s.grid, s.psi_fwd * phases, s.psi_bwd * np.conj(phases))
 
 

@@ -4,13 +4,14 @@ The extension adjoins to the proper orthochronous component the involutions
 lambda_inf(theta, phi), infinite-velocity limits of superluminal boosts along
 the spatial direction n(theta, phi), together with -I and their product.
 Everything here is plain float64 matrix algebra on momenta and group elements;
-representation spaces live elsewhere.
+representation spaces live elsewhere.  Functions act on stacks along leading
+axes (vectors (..., 4), matrices (..., 4, 4)); one element is the case with no
+leading axis, and gives the same bits as a stack containing it.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,40 +24,61 @@ Z_TAGS = ("I", "-I", "lambda-inf", "-lambda-inf")
 LIGHTLIKE_BAND = 1e-9  # relative width of the |eta(p,p)| ~ 0 band
 
 
-def minkowski(u, v) -> float:
-    """Minkowski pairing u0*v0 - u.v, signature (+,-,-,-)."""
+def _dot(u, v) -> np.ndarray:
+    """Dot product over the last axis, one BLAS dot per element (as ``u @ v`` on vectors)."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def act(m, v) -> np.ndarray:
+    """Matrices (..., 4, 4) applied to vectors (..., 4), broadcast over the leading axes."""
+    return (np.asarray(m, dtype=float) @ np.asarray(v, dtype=float)[..., None])[..., 0]
+
+
+def _unit(axis) -> np.ndarray:
+    n = np.asarray(axis, dtype=float)
+    return n / np.sqrt(_dot(n, n))[..., None]
+
+
+def _outer(n) -> np.ndarray:
+    return n[..., :, None] * n[..., None, :]
+
+
+def minkowski(u, v):
+    """Minkowski pairing u0*v0 - u.v, signature (+,-,-,-), over the last axis."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    return float(u @ METRIC @ v)
+    return _dot(u @ METRIC, v)
 
 
-def direction_unit(theta: float, phi: float) -> np.ndarray:
-    """Spatial unit vector n(theta, phi)."""
+def direction_unit(theta, phi) -> np.ndarray:
+    """Spatial unit vectors n(theta, phi), shape (..., 3)."""
     st = np.sin(theta)
-    return np.array([st * np.cos(phi), st * np.sin(phi), np.cos(theta)])
+    n = np.empty(np.broadcast_shapes(np.shape(theta), np.shape(phi)) + (3,))
+    n[..., 0] = st * np.cos(phi)
+    n[..., 1] = st * np.sin(phi)
+    n[..., 2] = np.cos(theta)
+    return n
 
 
-def lightlike_representative(omega: float, theta: float = 0.0, phi: float = 0.0) -> np.ndarray:
-    """Forward lightlike momentum omega * (1, n(theta, phi))."""
-    p = np.empty(4)
-    p[0] = omega
-    p[1:] = omega * direction_unit(theta, phi)
-    return p
+def lightlike_representative(omega, theta=0.0, phi=0.0) -> np.ndarray:
+    """Forward lightlike momenta omega * (1, n(theta, phi)), shape (..., 4)."""
+    omega = np.asarray(omega, dtype=float)[..., None]
+    spatial = omega * direction_unit(theta, phi)
+    return np.concatenate([np.broadcast_to(omega, spatial.shape[:-1] + (1,)), spatial], axis=-1)
 
 
-def coordinate_swap(theta: float, phi: float) -> np.ndarray:
+def coordinate_swap(theta, phi) -> np.ndarray:
     """Involution exchanging t with n.x and fixing the orthogonal spatial plane."""
     n = direction_unit(theta, phi)
-    s = np.zeros((4, 4))
-    s[0, 1:] = n
-    s[1:, 0] = n
-    s[1:, 1:] = np.eye(3) - np.outer(n, n)
+    s = np.zeros(n.shape[:-1] + (4, 4))
+    s[..., 0, 1:] = n
+    s[..., 1:, 0] = n
+    s[..., 1:, 1:] = np.eye(3) - _outer(n)
     return s
 
 
-def make_lambda_inf(theta: float = 0.0, phi: float = 0.0,
-                    convention: str = "momentum") -> np.ndarray:
-    """Superluminal involution along n(theta, phi).
+def make_lambda_inf(theta=0.0, phi=0.0, convention: str = "momentum") -> np.ndarray:
+    """Superluminal involution along n(theta, phi), one per angle pair.
 
     ``coordinate`` returns the swap S itself (t <-> n.x), which fixes the
     aligned forward lightlike representative.  ``momentum`` returns -S, which
@@ -77,49 +99,58 @@ def z_set(theta: float = 0.0, phi: float = 0.0,
     return [np.eye(4), -np.eye(4), li, -li]
 
 
-def boost_matrix(axis, rapidity: float) -> np.ndarray:
-    """Proper orthochronous boost of the given rapidity along a spatial axis."""
-    n = np.asarray(axis, dtype=float)
-    n = n / np.linalg.norm(n)
-    ch, sh = np.cosh(rapidity), np.sinh(rapidity)
-    m = np.empty((4, 4))
-    m[0, 0] = ch
-    m[0, 1:] = sh * n
-    m[1:, 0] = sh * n
-    m[1:, 1:] = np.eye(3) + (ch - 1.0) * np.outer(n, n)
+def boost_matrix(axis, rapidity) -> np.ndarray:
+    """Proper orthochronous boosts: axes (..., 3), rapidities (...), result (..., 4, 4)."""
+    n = _unit(axis)
+    rapidity = np.asarray(rapidity, dtype=float)
+    ch, sh = np.cosh(rapidity)[..., None], np.sinh(rapidity)[..., None]
+    shn = sh * n
+    m = np.empty(shn.shape[:-1] + (4, 4))
+    m[..., 0, 0] = ch[..., 0]
+    m[..., 0, 1:] = shn
+    m[..., 1:, 0] = shn
+    m[..., 1:, 1:] = np.eye(3) + (ch - 1.0)[..., None] * _outer(n)
     return m
 
 
-def rotation_matrix(axis, angle: float) -> np.ndarray:
-    """Spatial rotation by `angle` about a spatial axis (Rodrigues form)."""
-    n = np.asarray(axis, dtype=float)
-    n = n / np.linalg.norm(n)
-    k = np.array([[0.0, -n[2], n[1]],
-                  [n[2], 0.0, -n[0]],
-                  [-n[1], n[0], 0.0]])
+def rotation_matrix(axis, angle) -> np.ndarray:
+    """Spatial rotations by `angle` (...) about axes (..., 3) (Rodrigues form)."""
+    n = _unit(axis)
+    zero = np.zeros(n.shape[:-1])
+    k = np.stack([zero, -n[..., 2], n[..., 1],
+                  n[..., 2], zero, -n[..., 0],
+                  -n[..., 1], n[..., 0], zero], axis=-1).reshape(n.shape[:-1] + (3, 3))
+    angle = np.asarray(angle, dtype=float)[..., None, None]
     r3 = np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
-    m = np.eye(4)
-    m[1:, 1:] = r3
+    m = np.zeros(r3.shape[:-2] + (4, 4))
+    m[..., 0, 0] = 1.0
+    m[..., 1:, 1:] = r3
     return m
 
 
 def random_proper_orthochronous(rng: np.random.Generator,
                                 max_rapidity: float = 3.0,
-                                factors: int = 4) -> np.ndarray:
-    """Random element of the identity component, built constructively.
+                                factors: int = 4, size=None) -> np.ndarray:
+    """Random elements of the identity component, built constructively.
 
     A finite product of axis boosts and rotations, so eta-orthogonality,
-    det = 1 and M[0,0] >= 1 hold by construction up to rounding.
+    det = 1 and M[0,0] >= 1 hold by construction up to rounding.  ``size``
+    follows numpy's convention: None gives one (4, 4) matrix, otherwise the
+    result has shape size + (4, 4).  Each factor draws every axis, redraws
+    those shorter than 1e-3, then draws every parameter.
     """
+    lead = () if size is None else tuple(np.atleast_1d(size))
     m = np.eye(4)
     for i in range(factors):
-        axis = rng.standard_normal(3)
-        while np.linalg.norm(axis) < 1e-3:
-            axis = rng.standard_normal(3)
+        axes = rng.standard_normal(lead + (3,))
+        short = np.sqrt(_dot(axes, axes)) < 1e-3
+        while short.any():
+            axes[short] = rng.standard_normal((int(short.sum()), 3))
+            short = np.sqrt(_dot(axes, axes)) < 1e-3
         if i % 2 == 0:
-            m = m @ boost_matrix(axis, rng.uniform(-max_rapidity, max_rapidity))
+            m = m @ boost_matrix(axes, rng.uniform(-max_rapidity, max_rapidity, size))
         else:
-            m = m @ rotation_matrix(axis, rng.uniform(-np.pi, np.pi))
+            m = m @ rotation_matrix(axes, rng.uniform(-np.pi, np.pi, size))
     return m
 
 
@@ -131,17 +162,27 @@ def eta_deviation(m) -> float:
 
 @dataclass(frozen=True, eq=False)
 class ExtPoincareElement:
-    """Pair (4x4 linear part, translation) with the semidirect product law."""
+    """Pairs (4x4 linear part, translation) with the semidirect product law.
+
+    ``linear`` has shape (..., 4, 4) and ``translation`` (..., 4); their
+    leading shapes must match, so one object can hold a stack of elements.
+    """
 
     linear: np.ndarray
     translation: np.ndarray
 
     def __post_init__(self):
-        for name, shape in (("linear", (4, 4)), ("translation", (4,))):
-            a = np.asarray(getattr(self, name), dtype=float)
-            if a.shape != shape:
-                raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
-            object.__setattr__(self, name, a)
+        linear = np.asarray(self.linear, dtype=float)
+        translation = np.asarray(self.translation, dtype=float)
+        if linear.shape[-2:] != (4, 4):
+            raise ValueError(f"linear must have shape (..., 4, 4), got {linear.shape}")
+        if translation.shape[-1:] != (4,):
+            raise ValueError(f"translation must have shape (..., 4), got {translation.shape}")
+        if translation.shape[:-1] != linear.shape[:-2]:
+            raise ValueError(f"translation leading shape {translation.shape[:-1]} does not "
+                             f"match linear leading shape {linear.shape[:-2]}")
+        object.__setattr__(self, "linear", linear)
+        object.__setattr__(self, "translation", translation)
 
 
 def poincare_identity() -> ExtPoincareElement:
@@ -149,26 +190,27 @@ def poincare_identity() -> ExtPoincareElement:
 
 
 def poincare_mul(g: ExtPoincareElement, g2: ExtPoincareElement) -> ExtPoincareElement:
-    """(h, a)(h', a') = (h h', a + h a')."""
-    return ExtPoincareElement(g.linear @ g2.linear, g.translation + g.linear @ g2.translation)
+    """(h, a)(h', a') = (h h', a + h a'), broadcast over leading axes."""
+    return ExtPoincareElement(g.linear @ g2.linear, g.translation + act(g.linear, g2.translation))
 
 
 def poincare_inverse(g: ExtPoincareElement) -> ExtPoincareElement:
     minv = np.linalg.inv(g.linear)
-    return ExtPoincareElement(minv, -(minv @ g.translation))
+    return ExtPoincareElement(minv, -act(minv, g.translation))
 
 
 def alpha_z(z, n: ExtPoincareElement) -> ExtPoincareElement:
     """Automorphism (h, a) -> (z h z^-1, z a) for z in the discrete extension set.
 
     Every z in the set is its own inverse, so the conjugate is z h z; a z with
-    z @ z != I is rejected.  Whether the conjugate of a proper orthochronous h
-    lands back in that component is not asserted here; see the CLI report.
+    z @ z != I is rejected.  z (..., 4, 4) broadcasts against n's leading
+    axes.  Whether the conjugate of a proper orthochronous h lands back in
+    that component is not asserted here; see the CLI report.
     """
     z = np.asarray(z, dtype=float)
-    if z.shape != (4, 4) or not abs(z @ z - ID4).max() <= 1e-12:
+    if z.shape[-2:] != (4, 4) or not np.abs(z @ z - ID4).max() <= 1e-12:
         raise ValueError("alpha_z needs a 4x4 involution z (z @ z = I to 1e-12)")
-    return ExtPoincareElement(z @ n.linear @ z, z @ n.translation)
+    return ExtPoincareElement(z @ n.linear @ z, act(z, n.translation))
 
 
 class OrbitClass(enum.Enum):
@@ -180,44 +222,48 @@ class OrbitClass(enum.Enum):
     ZERO = "zero"
 
 
-def classify_orbit(p) -> OrbitClass:
-    """Orbit label from (sign of eta(p,p), sign of p0).
+def classify_orbit(p):
+    """Orbit labels from (sign of eta(p,p), sign of p0), over momenta (..., 4).
 
     |eta(p,p)| below 1e-9 times the squared Euclidean norm counts as
     lightlike; the zero vector gets its own flag rather than an exception.
-    A NaN or infinite component is rejected.
+    One momentum gives an OrbitClass, a stack an object array of them.  A
+    NaN or infinite component is rejected.
     """
     p = np.asarray(p, dtype=float)
-    scale = sum(x * x for x in p.tolist())  # plain floats overflow to inf without a warning
-    if not 1e-300 < scale < 1e300:
+    with np.errstate(over="ignore"):
+        scale = np.sum(p * p, axis=-1)
+    far = ~((scale > 1e-300) & (scale < 1e300))
+    zero = np.zeros(scale.shape, dtype=bool)
+    if far.any():
         # zero, non-finite, or near under- or overflow: the classes are
         # invariant under positive scaling, so divide by the largest component
-        peak = float(abs(p).max())
-        if not math.isfinite(peak):
-            raise ValueError(f"momentum components must be finite, got {p.tolist()}")
-        if peak == 0.0:
-            return OrbitClass.ZERO
-        p = p / peak
-        scale = float(p @ p)
+        peak = np.max(np.abs(p), axis=-1)
+        bad = far & ~np.isfinite(peak)
+        if bad.any():
+            raise ValueError(f"momentum components must be finite, got {p[bad][0].tolist()}")
+        zero = far & (peak == 0.0)
+        p = np.where(far[..., None], p / np.where(zero, 1.0, peak)[..., None], p)
+        scale = np.where(far, _dot(p, p), scale)
     inv = minkowski(p, p)
-    if abs(inv) < LIGHTLIKE_BAND * scale:
-        return OrbitClass.LIGHTLIKE_FORWARD if p[0] > 0 else OrbitClass.LIGHTLIKE_BACKWARD
-    if inv > 0:
-        return OrbitClass.MASSIVE_FORWARD if p[0] > 0 else OrbitClass.MASSIVE_BACKWARD
-    return OrbitClass.TACHYONIC
+    forward = p[..., 0] > 0
+    labels = np.where(
+        np.abs(inv) < LIGHTLIKE_BAND * scale,
+        np.where(forward, OrbitClass.LIGHTLIKE_FORWARD, OrbitClass.LIGHTLIKE_BACKWARD),
+        np.where(inv > 0,
+                 np.where(forward, OrbitClass.MASSIVE_FORWARD, OrbitClass.MASSIVE_BACKWARD),
+                 OrbitClass.TACHYONIC))
+    return np.where(zero, OrbitClass.ZERO, labels)[()]
 
 
 def z_orbit(p, theta: float = 0.0, phi: float = 0.0,
             convention: str = "momentum") -> list[tuple[str, np.ndarray, OrbitClass]]:
-    """Images of p under the four discrete elements, with orbit labels.
+    """Images of momenta p (..., 4) under the four discrete elements, with orbit labels.
 
     For a timelike p the image classes always cover both massive classes and
     the tachyonic one: the extended group merges those orbits.  A non-finite
     image (NaN or infinite input, or overflow) is rejected by classify_orbit.
     """
     p = np.asarray(p, dtype=float)
-    out = []
-    for tag, z in zip(Z_TAGS, z_set(theta, phi, convention)):
-        image = z @ p
-        out.append((tag, image, classify_orbit(image)))
-    return out
+    images = np.moveaxis(act(np.stack(z_set(theta, phi, convention)), p[..., None, :]), -2, 0)
+    return list(zip(Z_TAGS, images, classify_orbit(images)))

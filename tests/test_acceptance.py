@@ -171,3 +171,26 @@ def test_full_check_suites_pass():
                    + checks.rep_checks(trials=50)
                    + checks.bell_checks(trials=50)):
         assert result.passed, result
+
+
+GROUP_CHECK_ROWS = [
+    ("involution squares to identity (10x10 angle grid)", 1e-12),
+    ("product associativity", 1e-12),
+    ("two-sided inverses", 1e-12),
+    ("alpha_z is involutive for every z", 1e-12),
+    ("orbit class invariant under the identity component", 0.0),
+    ("pairing flips sign on the time-direction plane", 1e-12),
+    ("timelike orbit merges with both massive classes and tachyonic", 0.0),
+]
+
+
+@pytest.mark.parametrize("convention, cone_row", [
+    ("momentum", "aligned representative maps to its negative"),
+    ("coordinate", "aligned representative is fixed"),
+])
+def test_group_suite_rows_and_results_hold_over_seeds(convention, cone_row):
+    want = GROUP_CHECK_ROWS[:1] + [(cone_row, 1e-12)] + GROUP_CHECK_ROWS[1:]
+    for seed in range(21):
+        results = checks.group_checks(convention, seed=seed)
+        assert [(r.name, r.tolerance) for r in results] == want
+        assert all(r.passed for r in results), seed

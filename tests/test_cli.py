@@ -33,6 +33,12 @@ def test_group_check_rejects_zero_samples(capsys):
     assert "samples" in capsys.readouterr().err
 
 
+def test_group_check_runs_with_one_sample(capsys):
+    assert run_cli(["group-check", "--samples", "1"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("PASS") == 8 and "FAIL" not in out
+
+
 def test_group_check_json_report(tmp_path, capsys):
     out_file = tmp_path / "report.json"
     assert run_cli(["group-check", "--samples", "10", "--format", "json",

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -77,21 +78,50 @@ def test_grid_inputs_are_rejected_or_give_finite_output(omega_min, ratio, count,
     assert np.all(np.isfinite(grid.direction()))
     with np.errstate(over="ignore"):
         w = grid.omegas()
-    # only a lattice whose ratio**i or omega_min * ratio**i passes the float
-    # range (e**709.78) reaches inf
+    # only a lattice whose omega_min * ratio**i passes the float range
+    # (e**709.78) reaches inf
     assert np.all(w > 0) and not np.any(np.isnan(w))
-    span = (count - 1) * grid.step()
-    if span < 700 and math.log(omega_min) + span < 700:
+    if math.log(omega_min) + (count - 1) * grid.step() < 700:
         assert np.all(np.isfinite(w))
 
 
+def test_grid_frequencies_stay_finite_when_only_the_ratio_power_overflows():
+    # 1e10**39 overflows, 1e-300 * 1e10**39 = 1e90 does not
+    w = FrequencyGrid(1e-300, 1e10, 40).omegas()
+    assert np.all(np.isfinite(w))
+    assert w[-1] == pytest.approx(1e90, rel=1e-12)
+    assert np.array_equal(w[:31], 1e-300 * 1e10 ** np.arange(31))
+
+
+def test_grid_frequencies_are_computed_once_and_read_only():
+    grid = FrequencyGrid(1.0, 1.25, 8)
+    assert grid.omegas() is grid.omegas()
+    assert grid.direction() is grid.direction()
+    for cached in (grid.omegas(), grid.direction()):
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = 0.0
+
+
 def test_rep_checks_fail_when_an_overflowing_lattice_gives_nan():
-    # omega = 1.25**4095 overflows, so every translation phase is NaN
+    # omega = 1.25**4095 overflows, so translation phases on that lattice are
+    # NaN; the suite helpers must turn the NaN into a FAIL row
+    rng = np.random.default_rng(0)
+    grid = FrequencyGrid(1.0, 1.25, 4096)
+    s = checks._random_doublet(rng, grid)
     with np.errstate(over="ignore", invalid="ignore"):
-        results = checks.rep_checks(4096, trials=1)
-    failed = [r for r in results if not r.passed]
-    assert "unitarity of every representation operator" in {r.name for r in failed}
-    assert all(math.isnan(r.max_deviation) for r in failed)
+        moved = apply_translation(s, rng.uniform(-3, 3, 4))
+        deviations = (checks._worst(0.0, abs(moved.norm() - s.norm())),
+                      checks._gap(moved, s))
+    for dev in deviations:
+        row = checks._result("unitarity of every representation operator", dev, 1e-12)
+        assert not row.passed and math.isnan(row.max_deviation)
+
+
+def test_rep_checks_pass_on_a_large_grid():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = checks.rep_checks(4096)
+    assert all(r.passed for r in results), results
 
 
 def test_translation_identity():

@@ -293,3 +293,97 @@ def test_pairing_sign_flip_on_the_time_direction_plane():
         v = rng.uniform(-2, 2) * e_t + rng.uniform(-2, 2) * e_n
         assert group.minkowski(li @ u, li @ v) == pytest.approx(
             -group.minkowski(u, v), abs=1e-12)
+
+
+def test_stacked_calls_equal_the_per_element_loop():
+    rng = np.random.default_rng(31)
+    k = 7
+    axes, params = rng.standard_normal((k, 3)), rng.uniform(-2, 2, k)
+    thetas, phis = rng.uniform(0, np.pi, k), rng.uniform(0, 2 * np.pi, k)
+    for fn in (group.boost_matrix, group.rotation_matrix):
+        assert np.array_equal(fn(axes, params), np.stack([fn(a, t) for a, t in zip(axes, params)]))
+    for convention in ("momentum", "coordinate"):
+        assert np.array_equal(
+            group.make_lambda_inf(thetas, phis, convention),
+            np.stack([group.make_lambda_inf(t, p, convention) for t, p in zip(thetas, phis)]))
+    g = group.ExtPoincareElement(group.random_proper_orthochronous(rng, size=k),
+                                 rng.uniform(-2, 2, (k, 4)))
+    h = group.ExtPoincareElement(group.random_proper_orthochronous(rng, size=k),
+                                 rng.uniform(-2, 2, (k, 4)))
+    singles = [(group.ExtPoincareElement(g.linear[i], g.translation[i]),
+                group.ExtPoincareElement(h.linear[i], h.translation[i])) for i in range(k)]
+    zs = np.stack(group.z_set(0.4, 0.9))
+    stacked = [(group.poincare_mul(g, h), [group.poincare_mul(a, b) for a, b in singles]),
+               (group.poincare_inverse(g), [group.poincare_inverse(a) for a, _ in singles]),
+               (group.alpha_z(zs[:, None], g),
+                [group.alpha_z(z, a) for z in zs for a, _ in singles])]
+    for whole, parts in stacked:
+        assert np.array_equal(whole.linear.reshape(-1, 4, 4), np.stack([p.linear for p in parts]))
+        assert np.array_equal(whole.translation.reshape(-1, 4),
+                              np.stack([p.translation for p in parts]))
+    u, v = g.translation, h.translation
+    assert np.array_equal(group.minkowski(u, v),
+                          [group.minkowski(a, b) for a, b in zip(u, v)])
+    momenta = np.concatenate([u, np.zeros((1, 4)), [[1.0, 0, 0, 1.0], [2.0 ** 600, 0, 0, 0]]])
+    assert list(group.classify_orbit(momenta)) == [group.classify_orbit(p) for p in momenta]
+
+
+def test_stacked_random_elements_are_proper_orthochronous():
+    stack = group.random_proper_orthochronous(np.random.default_rng(7), size=(5, 10))
+    assert stack.shape == (5, 10, 4, 4)
+    for m in stack.reshape(-1, 4, 4):
+        assert group.eta_deviation(m) < 1e-10
+        assert np.linalg.det(m) == pytest.approx(1.0, abs=1e-10)
+        assert m[0, 0] >= 1.0 - 1e-12
+
+
+def test_single_random_element_keeps_its_draws():
+    # values from the one-element-at-a-time construction: the same draws
+    # in the same order give the same matrix and leave the stream in place
+    rng = np.random.default_rng(2025)
+    m = group.random_proper_orthochronous(rng, 2.5, 5)
+    assert m.tolist() == [
+        [10.724877410252704, -4.584035350877895, -8.744901917064219, 4.0664856851803926],
+        [-9.447244471120461, 4.473202598282305, 7.659857835657401, -3.401097550696609],
+        [4.144421753621975, -0.9985167724838322, -3.8733294660164694, 1.4753015876938829],
+        [-2.7561450788986988, 1.003395668660739, 1.9486421745102143, -1.9473896640812518]]
+    assert rng.random() == 0.20743238090945026
+
+
+class _ShortFirstAxis:
+    """Generator stand-in whose first axis draw has a zero-length first row."""
+
+    def __init__(self):
+        self.rng = np.random.default_rng(3)
+        self.normal_shapes = []
+
+    def standard_normal(self, shape):
+        out = self.rng.standard_normal(shape)
+        if not self.normal_shapes:
+            out.reshape(-1, 3)[0] = 0.0
+        self.normal_shapes.append(shape)
+        return out
+
+    def uniform(self, low, high, size=None):
+        return self.rng.uniform(low, high, size)
+
+
+@pytest.mark.parametrize("size, redraw", [(None, (1, 3)), (6, (1, 3))])
+def test_short_axes_are_redrawn_row_by_row(size, redraw):
+    rng = _ShortFirstAxis()
+    m = group.random_proper_orthochronous(rng, factors=2, size=size)
+    assert rng.normal_shapes[1] == redraw
+    assert len(rng.normal_shapes) == 3
+    for one in m.reshape(-1, 4, 4):
+        assert group.eta_deviation(one) < 1e-10
+
+
+@pytest.mark.parametrize("linear, translation, field", [
+    (np.zeros((5, 4, 4)), np.zeros((3, 4)), "translation"),
+    (np.zeros((5, 4, 4)), np.zeros(4), "translation"),
+    (np.zeros((4, 3)), np.zeros(4), "linear"),
+    (np.zeros((4, 4)), np.zeros(3), "translation"),
+])
+def test_element_rejects_mismatched_shapes_naming_the_field(linear, translation, field):
+    with pytest.raises(ValueError, match=field):
+        group.ExtPoincareElement(linear, translation)
