@@ -25,11 +25,9 @@ from .doublet import (
 from .experiment import (
     ExperimentConfig,
     TrialTally,
-    born_probabilities,
     category_probabilities,
     estimate_exx,
     expected_correlation,
-    prepare_state,
     run_trials,
     sweep_phase,
 )
@@ -59,9 +57,8 @@ __all__ = [
     "apply_axial_boost", "apply_axial_rotation", "apply_translation",
     "apply_u_lambda_inf", "apply_u_minus_i", "check_covariance",
     "make_epsilon_eigenstate",
-    "ExperimentConfig", "TrialTally", "born_probabilities",
-    "category_probabilities", "estimate_exx",
-    "expected_correlation", "prepare_state", "run_trials", "sweep_phase",
+    "ExperimentConfig", "TrialTally", "category_probabilities", "estimate_exx",
+    "expected_correlation", "run_trials", "sweep_phase",
     "ExtPoincareElement", "OrbitClass", "alpha_z",
     "classify_orbit", "make_lambda_inf", "minkowski", "poincare_mul", "z_orbit",
     "O_XX", "QubitObservable", "TwoQubitState", "entanglement_entropy",

@@ -270,9 +270,16 @@ def rep_checks(grid_size: int = 16, helicity: int = 1, trials: int = 100,
     return results
 
 
+# Each bell-check trial holds several dense complex N x N matrices: about
+# 137 MB of peak memory at N = 1024, growing fourfold per doubling.
+BELL_MAX_GRID_SIZE = 2048
+
+
 def bell_checks(grid_size: int = 8, trials: int = 100, seed: int = 0) -> list[CheckResult]:
     if grid_size < 1:
         raise ValueError(f"grid size must be positive, got {grid_size}")
+    if grid_size > BELL_MAX_GRID_SIZE:
+        raise ValueError(f"grid-size must be at most {BELL_MAX_GRID_SIZE}, got {grid_size}")
     rng = np.random.default_rng(seed)
     grid = doublet.FrequencyGrid(1.0, 1.25, grid_size)
     results = []

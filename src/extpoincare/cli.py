@@ -20,13 +20,28 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 
 import numpy as np
 
 from . import __version__, checks, experiment, group
 
-CONFIG_KEYS = ("phi", "visibility", "eta", "dark", "sigma", "trials", "seed")
+CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(experiment.ExperimentConfig))
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads every negative float literal as a value, not an option.
+
+    argparse's own matcher misses exponent forms such as -1.5e-05 and
+    inf/nan spellings, so ``orbit -1.5e-05 0 0 1`` or ``--phi -1e-05``
+    would fail as unknown options.  Subparsers inherit the class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
 
 
 def _report_lines(results) -> list[str]:
@@ -153,14 +168,10 @@ def _load_config_file(path) -> dict:
 
 
 def _build_config(args) -> experiment.ExperimentConfig:
-    values = {"phi": 0.0, "visibility": 1.0, "eta": 1.0, "dark": 0.0,
-              "sigma": 0.0, "trials": 100_000, "seed": 0}
-    if args.config:
-        values.update(_load_config_file(args.config))
-    for key in CONFIG_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
+    """The config file's values, then the flags given, over ``ExperimentConfig``'s defaults."""
+    values = _load_config_file(args.config) if args.config else {}
+    values.update({key: getattr(args, key) for key in CONFIG_KEYS
+                   if getattr(args, key) is not None})
     return experiment.ExperimentConfig(**values)
 
 
@@ -204,7 +215,7 @@ def _add_report_flags(p) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="extpoincare",
         description="Extended Poincare group toolkit: invariant reports, orbit "
                     "tables and the correlation interferometer Monte Carlo.")
@@ -219,8 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("orbit", help="discrete orbit of a momentum")
     # a one-word metavar: argparse cannot print a usage error for a tuple one
-    p.add_argument("p", type=float, nargs=4, metavar="P",
-                   help="momentum P0 P1 P2 P3; write -- first if one is like -1.5e-05")
+    p.add_argument("p", type=float, nargs=4, metavar="P", help="momentum P0 P1 P2 P3")
     p.add_argument("--theta", type=float, default=0.0)
     p.add_argument("--phi", type=float, default=0.0)
     p.add_argument("--convention", choices=("momentum", "coordinate"), default="momentum")

@@ -186,45 +186,25 @@ def _shift(a: np.ndarray, k: int) -> tuple[np.ndarray, float]:
     return out, float(np.sum(np.abs(dropped) ** 2))
 
 
-def _shift_interp(a: np.ndarray, delta: float) -> tuple[np.ndarray, float]:
-    n = a.shape[0]
-    src = np.arange(n) - delta
-    i0 = np.floor(src).astype(int)
-    frac = src - i0
-
-    def gather(idx):
-        valid = (idx >= 0) & (idx < n)
-        return np.where(valid, a[np.clip(idx, 0, n - 1)], 0.0)
-
-    out = (1.0 - frac) * gather(i0) + frac * gather(i0 + 1)
-    leak = float(np.sum(np.abs(a) ** 2) - np.sum(np.abs(out) ** 2))
-    return out, max(leak, 0.0)
-
-
-def apply_axial_boost(s: DoubletState, rapidity: float, interpolate: bool = False) -> DoubletState:
+def apply_axial_boost(s: DoubletState, rapidity: float) -> DoubletState:
     """Boost along the grid direction; rapidity k*ln(ratio) shifts indices by k.
 
     Both sectors shift the same way: the two cone representatives lie on one
     line through the origin, so a boost rescales their frequency labels by the
-    same factor.  Off-lattice rapidities are rejected unless
-    ``interpolate=True``, which falls back to linear interpolation in
-    log-frequency at the cost of exact unitarity.  Amplitudes pushed off the
-    lattice are dropped; the lost squared norm is recorded on the result and a
-    RuntimeWarning is emitted when it exceeds 1e-6 of the squared norm.
+    same factor.  Off-lattice rapidities are rejected, since no index shift
+    represents them unitarily.  Amplitudes pushed off the lattice are dropped;
+    the lost squared norm is recorded on the result and a RuntimeWarning is
+    emitted when it exceeds 1e-6 of the squared norm.
     """
     step = s.grid.step()
     delta = rapidity / step
     k = round(delta)
-    if abs(delta - k) <= LATTICE_TOL:
-        fwd, leak_f = _shift(s.psi_fwd, k)
-        bwd, leak_b = _shift(s.psi_bwd, k)
-    elif not interpolate:
+    if abs(delta - k) > LATTICE_TOL:
         raise ValueError(
             f"rapidity {rapidity} is not an integer multiple of ln(ratio) = {step:.6g}; "
-            "pass interpolate=True to allow off-lattice boosts")
-    else:
-        fwd, leak_f = _shift_interp(s.psi_fwd, delta)
-        bwd, leak_b = _shift_interp(s.psi_bwd, delta)
+            "the lattice has no unitary boost for it")
+    fwd, leak_f = _shift(s.psi_fwd, k)
+    bwd, leak_b = _shift(s.psi_bwd, k)
     leak = leak_f + leak_b
     total = s.norm() ** 2
     if total > 0 and leak > LEAK_WARN_THRESHOLD * total:

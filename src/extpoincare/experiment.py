@@ -20,8 +20,11 @@ outcomes), everything else is discarded.  No recovery heuristics.
 
 Sampling: trials are independent and identically distributed, so each one
 falls into one of five categories, a lone click at D1..D4 or discarded, with
-probabilities known in closed form (``category_probabilities``).  A whole
-point is one multinomial draw of its trial count over those categories.
+probabilities known in closed form (``category_probabilities``), the one
+outcome law of this module.  A whole point is one multinomial draw of its
+trial count over those categories.  The dense analyzer-matrix chain and a
+photon-by-photon sampler, which that law is tested against, live in
+``tests/per_trial.py``.
 
 Reproducibility (stream rule v2): sweep point j, and point 0 for a single
 run, draws that multinomial from numpy's PCG64 seeded with
@@ -36,21 +39,14 @@ import io
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .qubit import TwoQubitState
-
-HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-ANALYZER = np.kron(HADAMARD, HADAMARD)
-
-OUTCOMES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-DETECTORS = {"D1": (1, 1), "D2": (1, -1), "D3": (-1, 1), "D4": (-1, -1)}
-# x_dir * x_pol of each outcome: the sign a click at that detector adds to E_XX
-SIGNS = np.array([xd * xp for xd, xp in OUTCOMES], dtype=float)
+# x_dir * x_pol of D1..D4, the sign a lone click at that detector adds to E_XX
+SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
 
 CSV_COLUMNS = ("phi_rad", "trials", "kept", "discarded",
                "n_pp", "n_pm", "n_mp", "n_mm", "e_xx", "stderr", "expected")
@@ -74,7 +70,7 @@ class ExperimentConfig:
     bools are rejected where a number is expected.
     """
 
-    phi: float
+    phi: float = 0.0
     visibility: float = 1.0
     eta: float = 1.0
     dark: float = 0.0
@@ -108,65 +104,18 @@ class ExperimentConfig:
 
 @dataclass
 class TrialTally:
-    """Joint click counts per (x_dir, x_pol) outcome plus discarded trials."""
+    """Lone-click counts at D1..D4 (the CSV's n_pp, n_pm, n_mp, n_mm) plus discarded trials."""
 
-    counts: dict[tuple[int, int], int] = field(
-        default_factory=lambda: {o: 0 for o in OUTCOMES})
+    counts: np.ndarray
     discarded: int = 0
 
     @property
     def kept(self) -> int:
-        return sum(self.counts.values())
+        return int(self.counts.sum())
 
     @property
     def trials(self) -> int:
         return self.kept + self.discarded
-
-
-def prepare_state(phi: float, visibility: float = 1.0):
-    """State after the preparation stage.
-
-    Unit visibility gives the pure state with amplitudes
-    (1, 0, 0, e^{i phi})/sqrt(2).  Below unit visibility the return value is a
-    4x4 density matrix, the convex mix of that state with its dephased-in-
-    sector-basis counterpart diag(1/2, 0, 0, 1/2).
-    """
-    if not 0.0 <= visibility <= 1.0:
-        raise ValueError(f"visibility must be in [0, 1], got {visibility}")
-    amps = np.array([1.0, 0.0, 0.0, np.exp(1j * phi)]) / math.sqrt(2.0)
-    if visibility == 1.0:
-        return TwoQubitState(amps)
-    pure = np.outer(amps, amps.conj())
-    dephased = np.diag(np.diag(pure))
-    return visibility * pure + (1.0 - visibility) * dephased
-
-
-def _as_density(state) -> np.ndarray:
-    if isinstance(state, TwoQubitState):
-        return state.density()
-    rho = np.asarray(state, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected a TwoQubitState or 4x4 density matrix, got shape {rho.shape}")
-    return rho
-
-
-def born_probabilities(state) -> dict[tuple[int, int], float]:
-    """Joint X x X outcome probabilities through the analyzer chain.
-
-    The chain applies the direction Hadamard (the recombining beam splitter)
-    and the polarization Hadamard (half-wave plate), then reads the
-    computational split of the polarizing beam splitters.
-    """
-    rho = _as_density(state)
-    tr = float(np.real(np.trace(rho)))
-    if abs(tr - 1.0) > 1e-9:
-        raise ValueError(f"state trace deviates from 1 by {abs(tr - 1.0):.3e}")
-    diag = np.real(np.diag(ANALYZER @ rho @ ANALYZER.conj().T))
-    return {outcome: float(diag[i]) for i, outcome in enumerate(OUTCOMES)}
-
-
-def correlation_from_probabilities(probs: dict[tuple[int, int], float]) -> float:
-    return float(sum(xd * xp * p for (xd, xp), p in probs.items()))
 
 
 def category_probabilities(config: ExperimentConfig) -> np.ndarray:
@@ -219,17 +168,21 @@ def run_trials(config: ExperimentConfig, point: int = 0) -> TrialTally:
     """
     rng = np.random.default_rng(point_seed(config.seed, point))
     n = rng.multinomial(config.trials, category_probabilities(config))
-    return TrialTally(dict(zip(OUTCOMES, map(int, n[:4]))), discarded=int(n[4]))
+    return TrialTally(n[:4], discarded=int(n[4]))
 
 
 def estimate_exx(tally: TrialTally) -> tuple[float, float]:
-    """Correlation estimate sum(x_d x_p n)/sum(n) and its binomial standard error."""
+    """Correlation estimate sum(x_d x_p n)/sum(n) and its binomial standard error.
+
+    The signed sum is taken in Python integers, so it stays exact for any
+    trial count; one correctly rounded division then gives the estimate.
+    """
     kept = tally.kept
     if kept == 0:
         raise ValueError(
             f"cannot estimate a correlation from an all-discarded tally "
             f"({tally.discarded} trials discarded, 0 kept)")
-    e = sum(xd * xp * n for (xd, xp), n in tally.counts.items()) / kept
+    e = sum(int(s) * int(n) for s, n in zip(SIGNS, tally.counts)) / kept
     stderr = math.sqrt(max(1.0 - e * e, 0.0) / kept)
     return float(e), float(stderr)
 
@@ -282,8 +235,7 @@ def sweep_csv_text(rows: Iterable[SweepRow]) -> str:
     for row in rows:
         t = row.tally
         writer.writerow([
-            repr(row.phi), t.trials, t.kept, t.discarded,
-            t.counts[(1, 1)], t.counts[(1, -1)], t.counts[(-1, 1)], t.counts[(-1, -1)],
+            repr(row.phi), t.trials, t.kept, t.discarded, *t.counts,
             "" if row.e_xx is None else repr(row.e_xx),
             "" if row.stderr is None else repr(row.stderr),
             "" if row.expected is None else repr(row.expected),
@@ -304,15 +256,7 @@ def run_manifest(command: str, config: ExperimentConfig, workers: int,
     """
     return {
         "command": command,
-        "config": {
-            "phi": config.phi,
-            "visibility": config.visibility,
-            "eta": config.eta,
-            "dark": config.dark,
-            "sigma": config.sigma,
-            "trials": config.trials,
-            "seed": config.seed,
-        },
+        "config": asdict(config),
         "workers": workers,
         "stream_version": STREAM_VERSION,
         "stream_rule": STREAM_RULE,

@@ -1,21 +1,88 @@
-"""Per-trial interferometer sampler: the reference the multinomial draw is tested against.
+"""Born-rule oracle for the interferometer: the dense analyzer chain and a per-trial sampler.
 
-Every trial is simulated photon by photon: phase jitter, the Born outcome
-through the analyzer matrix, detector efficiency and independent dark clicks,
-then the exactly-one-click coincidence policy.  It shares no formula with
-``experiment.category_probabilities``, which is what makes it an oracle.
-Trials run in chunks of 65536; chunk c draws from
-SeedSequence([seed, c]) in the order phase jitter, outcome, efficiency, dark
-(stream rule v1).
+``experiment.category_probabilities`` is the package's one outcome law, a
+closed form.  This module is what it is tested against, and shares no formula
+with it:
+
+- the prepared state, built from the one-point doublet (1, e^{i phi})/sqrt(2)
+  through ``qubit.doublet_to_path_polarization`` and dephased in the sector
+  basis below unit visibility;
+- the analyzer chain, a Hadamard on each qubit followed by the computational
+  split, as one dense 4x4 matrix, and the Born probabilities it gives;
+- a photon-by-photon sampler: phase jitter, the Born outcome, detector
+  efficiency and independent dark clicks, then the exactly-one-click
+  coincidence policy.  Trials run in chunks of 65536; chunk c draws from
+  SeedSequence([seed, c]) in the order phase jitter, outcome, efficiency,
+  dark (stream rule v1).
 """
 
 import math
 
 import numpy as np
 
-from extpoincare.experiment import ANALYZER, ExperimentConfig
+from extpoincare.doublet import DoubletState, FrequencyGrid
+from extpoincare.experiment import ExperimentConfig
+from extpoincare.qubit import TwoQubitState, doublet_to_path_polarization
+
+HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+ANALYZER = np.kron(HADAMARD, HADAMARD)
+
+# (x_dir, x_pol) of each detector; transmitted PBS port = +
+DETECTORS = {"D1": (1, 1), "D2": (1, -1), "D3": (-1, 1), "D4": (-1, -1)}
+OUTCOMES = tuple(DETECTORS.values())
 
 TRIALS_PER_STREAM = 1 << 16
+
+_ONE_POINT = FrequencyGrid(1.0, 2.0, 1)
+
+
+def prepare_state(phi: float, visibility: float = 1.0):
+    """State after the preparation stage.
+
+    Unit visibility gives the pure state of the one-point doublet
+    (1, e^{i phi})/sqrt(2), which is (1, 0, 0, e^{i phi})/sqrt(2).  Below unit
+    visibility the return value is a 4x4 density matrix, the convex mix of
+    that state with its dephased-in-sector-basis counterpart
+    diag(1/2, 0, 0, 1/2).
+    """
+    if not 0.0 <= visibility <= 1.0:
+        raise ValueError(f"visibility must be in [0, 1], got {visibility}")
+    doublet = DoubletState(_ONE_POINT, [1.0 / math.sqrt(2.0)],
+                           [np.exp(1j * phi) / math.sqrt(2.0)])
+    state = doublet_to_path_polarization(doublet)
+    if visibility == 1.0:
+        return state
+    pure = state.density()
+    dephased = np.diag(np.diag(pure))
+    return visibility * pure + (1.0 - visibility) * dephased
+
+
+def _as_density(state) -> np.ndarray:
+    if isinstance(state, TwoQubitState):
+        return state.density()
+    rho = np.asarray(state, dtype=complex)
+    if rho.shape != (4, 4):
+        raise ValueError(f"expected a TwoQubitState or 4x4 density matrix, got shape {rho.shape}")
+    return rho
+
+
+def born_probabilities(state) -> dict[tuple[int, int], float]:
+    """Joint X x X outcome probabilities through the analyzer chain.
+
+    The chain applies the direction Hadamard (the recombining beam splitter)
+    and the polarization Hadamard (half-wave plate), then reads the
+    computational split of the polarizing beam splitters.
+    """
+    rho = _as_density(state)
+    tr = float(np.real(np.trace(rho)))
+    if abs(tr - 1.0) > 1e-9:
+        raise ValueError(f"state trace deviates from 1 by {abs(tr - 1.0):.3e}")
+    diag = np.real(np.diag(ANALYZER @ rho @ ANALYZER.conj().T))
+    return {outcome: float(diag[i]) for i, outcome in enumerate(OUTCOMES)}
+
+
+def correlation_from_probabilities(probs: dict[tuple[int, int], float]) -> float:
+    return float(sum(xd * xp * p for (xd, xp), p in probs.items()))
 
 
 def _dephased_chain_probs() -> np.ndarray:

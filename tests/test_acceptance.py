@@ -10,6 +10,8 @@ import pytest
 
 from extpoincare import checks, cli, doublet, experiment, group, qubit
 
+import per_trial
+
 
 def _announce(number: int, text: str, started: float) -> None:
     print(f"ACCEPTANCE {number} PASS ({time.perf_counter() - started:.2f}s): {text}")
@@ -19,10 +21,10 @@ def test_criterion_1_eigenvalue_correlation():
     started = time.perf_counter()
     o_xx = qubit.O_XX.matrix()
     for eps, phi in ((1, 0.0), (-1, np.pi)):
-        state = experiment.prepare_state(phi)
+        state = per_trial.prepare_state(phi)
         dense = np.vdot(state.amplitudes, o_xx @ state.amplitudes).real
-        probs = experiment.born_probabilities(state)
-        summed = experiment.correlation_from_probabilities(probs)
+        probs = per_trial.born_probabilities(state)
+        summed = per_trial.correlation_from_probabilities(probs)
         assert abs(dense - eps) < 1e-12
         assert abs(summed - eps) < 1e-12
         assert abs(dense - summed) < 1e-12
@@ -139,14 +141,14 @@ def test_criterion_6_marginal_invariance():
     started = time.perf_counter()
     for phi in np.linspace(0, 2 * np.pi, 13):
         for v in (0.0, 0.5, 1.0):
-            probs = experiment.born_probabilities(experiment.prepare_state(phi, v))
+            probs = per_trial.born_probabilities(per_trial.prepare_state(phi, v))
             assert abs(probs[(1, 1)] + probs[(1, -1)] - 0.5) <= 1e-12
             assert abs(probs[(-1, 1)] + probs[(-1, -1)] - 0.5) <= 1e-12
             assert abs(probs[(1, 1)] + probs[(-1, 1)] - 0.5) <= 1e-12
-    e_plus = experiment.correlation_from_probabilities(
-        experiment.born_probabilities(experiment.prepare_state(0.0)))
-    e_minus = experiment.correlation_from_probabilities(
-        experiment.born_probabilities(experiment.prepare_state(np.pi)))
+    e_plus = per_trial.correlation_from_probabilities(
+        per_trial.born_probabilities(per_trial.prepare_state(0.0)))
+    e_minus = per_trial.correlation_from_probabilities(
+        per_trial.born_probabilities(per_trial.prepare_state(np.pi)))
     assert e_plus > 0.999 and e_minus < -0.999
     _announce(6, "marginals stay uniform while the correlation flips sign", started)
 

@@ -9,6 +9,11 @@ from extpoincare import cli
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
+# repr of tiny negative floats: exponent forms that argparse's own matcher
+# takes for options
+TINY_NEGATIVES = [repr(x) for x in (-1.5e-05, -6.783042040137133e-05, -2.5e-07,
+                                    -1e-300, -5e-324)]
+
 
 def run_cli(args):
     return cli.main(args)
@@ -76,6 +81,7 @@ def test_orbit_zero_vector_warns(capsys):
     (["1", "0", "inf", "0"], "P2"),
     (["1", "0", "0", "0", "--theta", "nan"], "theta"),
     (["1", "0", "0", "0", "--phi=-inf"], "phi"),
+    (["-inf", "0", "0", "0"], "P0"),
 ])
 def test_orbit_rejects_non_finite_input_naming_the_field(argv, field, capsys):
     assert run_cli(["orbit", *argv]) == 2
@@ -83,13 +89,29 @@ def test_orbit_rejects_non_finite_input_naming_the_field(argv, field, capsys):
 
 
 def test_orbit_exponent_form_negative_number(capsys):
-    # argparse reads -1.5e-05 as an option; it must end in a usage error, not a crash
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["orbit", "-1.5e-05", "0", "0", "1"])
-    assert exc.value.code == 2
-    assert "usage" in capsys.readouterr().err
-    assert run_cli(["orbit", "--", "-1.5e-05", "0", "0", "1"]) == 0
-    assert "tachyonic" in capsys.readouterr().out
+    for x in TINY_NEGATIVES:
+        assert run_cli(["orbit", x, "0.3", "0.1", "1", "--theta", x, "--phi", x,
+                        "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["momentum"][0] == float(x)
+        assert doc["theta"] == float(x) and doc["phi"] == float(x)
+        # -- still ends the options
+        assert run_cli(["orbit", "--theta", x, "--phi", x, "--format", "json",
+                        "--", x, "0.3", "0.1", "1"]) == 0
+        assert json.loads(capsys.readouterr().out) == doc
+
+
+def test_experiment_exponent_form_negative_numbers(tmp_path):
+    out = tmp_path / "sweep.csv"
+    for x in TINY_NEGATIVES:
+        assert run_cli(["experiment", "run", "--phi", x, "--trials", "100",
+                        "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
+        assert manifest["config"]["phi"] == float(x)
+        assert run_cli(["experiment", "sweep", "--start", x, "--stop", x, "--points", "2",
+                        "--trials", "100", "--out", str(out)]) == 0
+        rows = out.read_text().strip().split("\n")[1:]
+        assert [row.split(",")[0] for row in rows] == [x, x]
 
 
 @pytest.mark.parametrize("script, argv", [
@@ -130,6 +152,12 @@ def test_bell_check_passes(capsys):
     assert run_cli(["bell-check", "--grid-size", "8", "--trials", "25"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_bell_check_rejects_a_grid_above_the_cap(capsys):
+    # the cap is checked before anything is allocated
+    assert run_cli(["bell-check", "--grid-size", str(2 ** 40), "--trials", "1"]) == 2
+    assert "grid-size" in capsys.readouterr().err
 
 
 def test_experiment_run_writes_csv_and_manifest(tmp_path, capsys):

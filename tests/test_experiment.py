@@ -8,17 +8,16 @@ from extpoincare import experiment
 from extpoincare.experiment import (
     ExperimentConfig,
     TrialTally,
-    born_probabilities,
     category_probabilities,
-    correlation_from_probabilities,
     estimate_exx,
     expected_correlation,
     point_seed,
-    prepare_state,
     run_trials,
     sweep_phase,
 )
 from extpoincare.qubit import O_XX
+
+from per_trial import DETECTORS, born_probabilities, correlation_from_probabilities, prepare_state
 
 
 def test_prepare_state_examples():
@@ -50,10 +49,9 @@ def test_born_probabilities_on_eigenstates():
     assert probs[(-1, 1)] == pytest.approx(0.5, abs=1e-12)
 
 
-def test_detector_dictionary_covers_the_four_ports():
-    assert experiment.DETECTORS == {
-        "D1": (1, 1), "D2": (1, -1), "D3": (-1, 1), "D4": (-1, -1)}
-    assert tuple(experiment.DETECTORS.values()) == experiment.OUTCOMES
+def test_detector_signs_follow_the_oracle_dictionary():
+    assert list(DETECTORS) == ["D1", "D2", "D3", "D4"]
+    assert np.array_equal([xd * xp for xd, xp in DETECTORS.values()], experiment.SIGNS)
 
 
 def test_born_probabilities_quarter_phase_uniform():
@@ -135,7 +133,7 @@ def test_same_seed_same_tally():
                               sigma=0.2, trials=50_000, seed=42)
     t1 = run_trials(config)
     t2 = run_trials(config)
-    assert t1.counts == t2.counts
+    assert np.array_equal(t1.counts, t2.counts)
     assert t1.discarded == t2.discarded
 
 
@@ -152,7 +150,8 @@ def test_tally_bookkeeping():
     config = ExperimentConfig(1.1, eta=0.8, dark=0.02, trials=30_000, seed=3)
     tally = run_trials(config)
     assert tally.kept + tally.discarded == 30_000
-    assert all(n >= 0 for n in tally.counts.values())
+    assert tally.counts.shape == (4,)
+    assert np.all(tally.counts >= 0)
 
 
 def test_ideal_run_at_phi_zero_is_perfectly_correlated():
@@ -163,11 +162,11 @@ def test_ideal_run_at_phi_zero_is_perfectly_correlated():
 
 
 def test_estimator_examples():
-    perfect = TrialTally({(1, 1): 500, (1, -1): 0, (-1, 1): 0, (-1, -1): 500}, 0)
+    perfect = TrialTally(np.array([500, 0, 0, 500]), 0)
     assert estimate_exx(perfect) == (1.0, 0.0)
-    anti = TrialTally({(1, 1): 0, (1, -1): 500, (-1, 1): 500, (-1, -1): 0}, 0)
+    anti = TrialTally(np.array([0, 500, 500, 0]), 0)
     assert estimate_exx(anti) == (-1.0, 0.0)
-    uniform = TrialTally({o: 250 for o in experiment.OUTCOMES}, 0)
+    uniform = TrialTally(np.array([250, 250, 250, 250]), 0)
     e, stderr = estimate_exx(uniform)
     assert e == 0.0
     assert stderr == pytest.approx(1 / np.sqrt(1000), abs=1e-15)
@@ -175,10 +174,18 @@ def test_estimator_examples():
 
 @given(st.lists(st.integers(0, 10_000), min_size=4, max_size=4).filter(lambda c: sum(c) > 0))
 def test_estimator_stays_in_range(counts):
-    tally = TrialTally(dict(zip(experiment.OUTCOMES, counts)), 0)
+    tally = TrialTally(np.array(counts), 0)
     e, stderr = estimate_exx(tally)
     assert -1.0 <= e <= 1.0
     assert stderr >= 0.0
+
+
+def test_estimator_signed_sum_is_exact_beyond_float_precision():
+    # 2**52 + 1 kept signed clicks over 3 * 2**52 + 1: a float dot product
+    # rounds the numerator and gives 0.3333333333333333
+    tally = TrialTally(np.array([2 ** 53 + 1, 2 ** 52, 0, 0]), 0)
+    assert estimate_exx(tally)[0] == 0.33333333333333337
+    assert isinstance(tally.kept, int) and isinstance(tally.trials, int)
 
 
 def test_monte_carlo_tracks_the_analytic_prediction():
@@ -232,10 +239,10 @@ def test_sweep_signs_and_seed_derivation():
     assert rows[1].e_xx < -0.5
     # point j reruns exactly as point j of the master seed
     again = run_trials(ExperimentConfig(np.pi, trials=20_000, seed=42), point=1)
-    assert again.counts == rows[1].tally.counts
+    assert np.array_equal(again.counts, rows[1].tally.counts)
     assert again.discarded == rows[1].tally.discarded
     first = run_trials(ExperimentConfig(0.0, trials=20_000, seed=42))
-    assert first.counts == rows[0].tally.counts
+    assert np.array_equal(first.counts, rows[0].tally.counts)
 
 
 def test_point_streams_never_overlap():
@@ -250,7 +257,8 @@ def test_point_streams_never_overlap():
         b = np.random.default_rng(point_seed(aliased, 0)).random(8)
         assert not np.any(a == b)
     config = ExperimentConfig(0.9, eta=0.8, dark=0.02, trials=100_000, seed=4)
-    assert run_trials(config, point=1) != run_trials(replace(config, seed=5), point=0)
+    assert not np.array_equal(run_trials(config, point=1).counts,
+                              run_trials(replace(config, seed=5), point=0).counts)
 
 
 valid_settings = dict(
@@ -318,8 +326,7 @@ def test_csv_text_round_trips_exactly():
         assert int(cells[1]) == row.tally.trials
         assert int(cells[2]) == row.tally.kept
         assert int(cells[3]) == row.tally.discarded
-        assert [int(c) for c in cells[4:8]] == [
-            row.tally.counts[o] for o in experiment.OUTCOMES]
+        assert [int(c) for c in cells[4:8]] == row.tally.counts.tolist()
         assert float(cells[8]) == row.e_xx
         assert float(cells[9]) == row.stderr
         assert float(cells[10]) == row.expected

@@ -18,7 +18,7 @@ TRIALS = 1_000_000
 
 def _multinomial_counts(config: ExperimentConfig) -> np.ndarray:
     tally = run_trials(config)
-    return np.array([*tally.counts.values(), tally.discarded])
+    return np.append(tally.counts, tally.discarded)
 
 
 def _homogeneity_chi2(a: np.ndarray, b: np.ndarray) -> tuple[float, int]:
