@@ -50,12 +50,48 @@ def _element_gap(g: group.ExtPoincareElement, h: group.ExtPoincareElement) -> fl
     return _worst(_dist(g.linear, h.linear), _dist(g.translation, h.translation))
 
 
+# group_checks draws and evaluates its sampled invariants in blocks of this
+# many samples, about 12 MB of stacked arrays (2.9 kB per sample under
+# tracemalloc), so the peak is the same for any --samples.  Up to one block
+# the draws are exactly those of a single stacked pass.
+GROUP_BLOCK = 4096
+
+# The group_checks rows that count failing samples; every other row is a deviation.
+ORBIT_CLASS_ROW = "orbit class invariant under the identity component"
+TIMELIKE_MERGE_ROW = "timelike orbit merges with both massive classes and tachyonic"
+COUNT_ROWS = (ORBIT_CLASS_ROW, TIMELIKE_MERGE_ROW)
+
+
 def group_checks(convention: str = "momentum", samples: int = 100,
                  seed: int = 0) -> list[CheckResult]:
-    """Group invariants, each evaluated on all samples at once as stacked arrays."""
+    """Group invariants, each evaluated as stacked arrays over blocks of GROUP_BLOCK samples."""
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
     rng = np.random.default_rng(seed)
+    thetas, phis = np.meshgrid(np.linspace(0.0, np.pi, 10), np.linspace(0.0, 2 * np.pi, 10),
+                               indexing="ij")
+    m = group.make_lambda_inf(thetas, phis, convention)
+    involution = _result("involution squares to identity (10x10 angle grid)",
+                         _dist(m @ m, group.ID4), 1e-12)
+
+    rows = _group_block(rng, convention, min(samples, GROUP_BLOCK))
+    for start in range(GROUP_BLOCK, samples, GROUP_BLOCK):
+        block = _group_block(rng, convention, min(samples - start, GROUP_BLOCK))
+        rows = [_fold(r, b) for r, b in zip(rows, block)]
+    return [involution] + rows
+
+
+def _fold(r: CheckResult, b: CheckResult) -> CheckResult:
+    """One group_checks row over two blocks: failure counts add, deviations keep the max."""
+    if r.name in COUNT_ROWS:
+        dev = r.max_deviation + b.max_deviation
+    else:
+        dev = _worst(r.max_deviation, b.max_deviation)
+    return _result(r.name, dev, r.tolerance, r.note)
+
+
+def _group_block(rng: np.random.Generator, convention: str, samples: int) -> list[CheckResult]:
+    """The sampled group_checks rows on one block of samples, drawn check by check."""
     results = []
 
     def angles():
@@ -65,12 +101,6 @@ def group_checks(convention: str = "momentum", samples: int = 100,
         return group.ExtPoincareElement(
             group.random_proper_orthochronous(rng, max_rapidity, size=samples),
             rng.uniform(-2, 2, (samples, 4)))
-
-    thetas, phis = np.meshgrid(np.linspace(0.0, np.pi, 10), np.linspace(0.0, 2 * np.pi, 10),
-                               indexing="ij")
-    m = group.make_lambda_inf(thetas, phis, convention)
-    results.append(_result("involution squares to identity (10x10 angle grid)",
-                           _dist(m @ m, group.ID4), 1e-12))
 
     th, ph = angles()
     p0 = group.lightlike_representative(rng.uniform(0.5, 2.0, samples), th, ph)
@@ -99,8 +129,7 @@ def group_checks(convention: str = "momentum", samples: int = 100,
     p = rng.uniform(-2, 2, (samples, 4))
     lam = group.random_proper_orthochronous(rng, size=samples)
     bad = np.count_nonzero(group.classify_orbit(group.act(lam, p)) != group.classify_orbit(p))
-    results.append(_result("orbit class invariant under the identity component",
-                           float(bad), 0.0))
+    results.append(_result(ORBIT_CLASS_ROW, float(bad), 0.0))
 
     th, ph = angles()
     li = group.make_lambda_inf(th, ph, convention)
@@ -121,8 +150,7 @@ def group_checks(convention: str = "momentum", samples: int = 100,
                       for wanted in (group.OrbitClass.MASSIVE_FORWARD,
                                      group.OrbitClass.MASSIVE_BACKWARD,
                                      group.OrbitClass.TACHYONIC)], axis=0)
-    results.append(_result("timelike orbit merges with both massive classes and tachyonic",
-                           float(np.count_nonzero(~covered)), 0.0))
+    results.append(_result(TIMELIKE_MERGE_ROW, float(np.count_nonzero(~covered)), 0.0))
     return results
 
 
@@ -157,13 +185,20 @@ def ad_eta_table(convention: str = "momentum", samples: int = 12,
     return rows
 
 
+def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """standard_normal + 1j * standard_normal: the same draws and bits, no complex temporary."""
+    z = rng.standard_normal(shape).astype(complex)
+    z.imag = rng.standard_normal(shape)
+    return z
+
+
 def _random_doublet(rng: np.random.Generator, grid: doublet.FrequencyGrid,
                     interior: int = 0) -> doublet.DoubletState:
     n = grid.count
     if 2 * interior >= n:
         raise ValueError(f"interior padding {interior} leaves no support on {n} points")
-    f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    f = _complex_normal(rng, n)
+    b = _complex_normal(rng, n)
     if interior > 0:
         f[:interior] = 0.0
         f[n - interior:] = 0.0
@@ -186,7 +221,8 @@ def rep_checks(grid_size: int = 16, helicity: int = 1, trials: int = 100,
     """Doublet invariants on omega_i = ratio**i, ratio = min(1.25, OMEGA_TOP**(1/(N-1))).
 
     Grids up to N = 31 keep ratio 1.25; larger ones are squeezed so the top
-    frequency stays at OMEGA_TOP.
+    frequency stays at OMEGA_TOP.  Each trial holds O(N) arrays (about 31
+    complex N-vectors, 2.0 MB traced at N = 4096) and nothing survives it.
     """
     if grid_size < 1:
         raise ValueError(f"grid size must be positive, got {grid_size}")
@@ -260,7 +296,7 @@ def rep_checks(grid_size: int = 16, helicity: int = 1, trials: int = 100,
 
     dev = 0.0
     for eps in (1, -1):
-        psi = rng.standard_normal(grid_size) + 1j * rng.standard_normal(grid_size)
+        psi = _complex_normal(rng, grid_size)
         psi = psi / np.linalg.norm(psi)
         state = doublet.make_epsilon_eigenstate(grid, psi, eps)
         swapped = doublet.apply_u_lambda_inf(state)
@@ -270,8 +306,9 @@ def rep_checks(grid_size: int = 16, helicity: int = 1, trials: int = 100,
     return results
 
 
-# Each bell-check trial holds several dense complex N x N matrices: about
-# 137 MB of peak memory at N = 1024, growing fourfold per doubling.
+# A bell-check trial keeps at most three dense complex N x N matrices alive:
+# 50.5 MB traced peak (tracemalloc) at N = 1024, fourfold per doubling, so
+# about 202 MB at N = 2048.
 BELL_MAX_GRID_SIZE = 2048
 
 
@@ -286,24 +323,29 @@ def bell_checks(grid_size: int = 8, trials: int = 100, seed: int = 0) -> list[Ch
 
     dev_iso, dev = 0.0, 0.0
     n = grid_size
-    unit = qubit.iota(np.eye(n), qubit.ID2)
     for _ in range(trials):
         s1 = _random_doublet(rng, grid)
         s2 = _random_doublet(rng, grid)
         lhs = np.vdot(qubit.sector_isometry(s1), qubit.sector_isometry(s2))
         rhs = np.vdot(qubit.stack(s1), qubit.stack(s2))
         dev_iso = _worst(dev_iso, abs(lhs - rhs))
-        a1 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        a2 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        b1 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        b2 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        a1 = _complex_normal(rng, (n, n))
+        a2 = _complex_normal(rng, (n, n))
+        b1 = _complex_normal(rng, (2, 2))
+        b2 = _complex_normal(rng, (2, 2))
+        # at most three dense N x N matrices live at once (a1, a2 and a1 @ a2):
+        # a2 goes before the adjoint is built, a1 before the identity
         op = qubit.iota(a1, b1)
         left = qubit.apply_block(op, qubit.apply_block(qubit.iota(a2, b2), s1))
         right = qubit.apply_block(qubit.iota(a1 @ a2, b1 @ b2), s1)
+        del a2
         # adjoint: <s2, iota(A x B) s1> = <iota(A^H x B^H) s2, s1>
+        forward = qubit.apply_block(op, s1)
         adj = qubit.apply_block(qubit.iota(a1.conj().T, b1.conj().T), s2)
-        dev = _worst(dev, _gap(qubit.apply_block(unit, s1), s1), _gap(left, right),
-                     abs(np.vdot(qubit.stack(s2), qubit.stack(qubit.apply_block(op, s1)))
+        del a1, op
+        unit = qubit.apply_block(qubit.iota(np.eye(n), qubit.ID2), s1)
+        dev = _worst(dev, _gap(unit, s1), _gap(left, right),
+                     abs(np.vdot(qubit.stack(s2), qubit.stack(forward))
                          - np.vdot(qubit.stack(adj), qubit.stack(s1))))
     results.append(_result("sector isometry preserves inner products", dev_iso, 1e-12))
     results.append(_result("observable embedding is a unital *-homomorphism", dev, 1e-10))
@@ -311,8 +353,8 @@ def bell_checks(grid_size: int = 8, trials: int = 100, seed: int = 0) -> list[Ch
     dev = 0.0
     for _ in range(trials):
         s = _random_doublet(rng, grid)
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        a = _complex_normal(rng, (n, n))
+        b = _complex_normal(rng, (2, 2))
         dev = _worst(dev, qubit.expectation_equality(s, a, b)[2])
     results.append(_result("expectations agree on both sides of the dictionary", dev, 1e-10))
 
@@ -320,7 +362,7 @@ def bell_checks(grid_size: int = 8, trials: int = 100, seed: int = 0) -> list[Ch
     results.append(_result("conjugated sector swap equals I x sigma_x", dev, 1e-14))
 
     dev = 0.0
-    psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    psi = _complex_normal(rng, n)
     psi = psi / np.linalg.norm(psi)
     for eps in (1, -1):
         state = doublet.make_epsilon_eigenstate(grid, psi, eps)

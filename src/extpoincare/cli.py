@@ -194,6 +194,15 @@ def _cmd_experiment(args) -> int:
     try:
         if args.workers < 1:
             raise ValueError(f"workers must be positive, got {args.workers}")
+        if args.subcommand == "sweep":
+            if args.points < 1:
+                raise ValueError(f"points must be at least 1, got {args.points}")
+            for name in ("start", "stop"):
+                if not math.isfinite(getattr(args, name)):
+                    raise ValueError(f"{name} must be finite, got {getattr(args, name)!r}")
+            if not math.isfinite(args.stop - args.start):
+                raise ValueError(f"stop - start overflows, got start {args.start!r} "
+                                 f"and stop {args.stop!r}")
         config = _build_config(args)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -248,6 +248,21 @@ def test_experiment_rejects_bad_inputs_naming_the_field(flags, field, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("flags, field", [
+    (["--points", "0"], "points"),
+    (["--points", "-1"], "points"),
+    (["--stop", "inf"], "stop"),
+    (["--start", "nan"], "start"),
+    (["--start", "-1e308", "--stop", "1e308"], "stop - start"),
+])
+def test_experiment_sweep_rejects_bad_ranges_naming_the_flag(flags, field, capsys):
+    assert run_cli(["experiment", "sweep", "--trials", "100"] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {field} ")
+    assert "Warning" not in captured.err
+    assert captured.out == ""
+
+
 def test_experiment_config_file_rejects_bools(tmp_path, capsys):
     for key in ("trials", "seed"):
         config = tmp_path / f"{key}.json"
