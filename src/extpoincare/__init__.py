@@ -13,7 +13,6 @@ from .doublet import (
     AxialElement,
     DoubletState,
     FrequencyGrid,
-    SectorInvolution,
     apply_axial_boost,
     apply_axial_rotation,
     apply_translation,
@@ -53,7 +52,7 @@ from .qubit import (
 )
 
 __all__ = [
-    "AxialElement", "DoubletState", "FrequencyGrid", "SectorInvolution",
+    "AxialElement", "DoubletState", "FrequencyGrid",
     "apply_axial_boost", "apply_axial_rotation", "apply_translation",
     "apply_u_lambda_inf", "apply_u_minus_i", "check_covariance",
     "make_epsilon_eigenstate",

@@ -1,14 +1,15 @@
 """Two-sector massless doublet states on a log-spaced frequency lattice.
 
-A state holds one complex amplitude per lattice point and sector.  Forward
-lattice point i carries momentum omega_i * (1, n); the backward point carries
-its negative.  Amplitudes absorb the square root of the scale-invariant
-measure, so boosts along n act as plain index shifts and unitarity is the
-ordinary l2 statement, with no quadrature weights.
+A state holds one complex (2, N) array: row 0 is the forward sector, row 1
+the backward one, so the two-valued internal index is the first axis.
+Forward lattice point i carries momentum omega_i * (1, n); the backward point
+carries its negative.  Amplitudes absorb the square root of the
+scale-invariant measure, so boosts along n act as plain index shifts and
+unitarity is the ordinary l2 statement, with no quadrature weights.
 
-The discrete operators are the sector swap (with optional per-point signs)
-and the momentum-reversal swap; on a single-direction lattice both are
-index-aligned.
+The discrete operators both reverse the sector axis: U(lambda_inf) is epsilon
+times the sector swap, for the uniform eigenvalue epsilon = +-1 of the
+representation, and momentum reversal is the plain swap.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import functools
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -88,57 +89,58 @@ class FrequencyGrid:
         return math.log(self.ratio)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class DoubletState:
     """Forward and backward sector amplitudes over a shared frequency grid.
 
-    ``leaked_norm`` records squared norm dropped off the lattice by the most
-    recent boost; it is diagnostic only and not part of the state proper.
+    ``amps`` is a read-only complex (2, N) array, forward row first, that
+    never aliases the caller's arrays; ``psi_fwd`` and ``psi_bwd`` are views
+    of its rows.  ``leaked_norm`` records squared norm dropped off the lattice
+    by the most recent boost; it is diagnostic only and not part of the state
+    proper.
     """
 
     grid: FrequencyGrid
-    psi_fwd: np.ndarray
-    psi_bwd: np.ndarray
+    amps: np.ndarray
     leaked_norm: float = 0.0
 
-    def __post_init__(self):
-        f = np.array(self.psi_fwd, dtype=complex)
-        b = np.array(self.psi_bwd, dtype=complex)
-        n = self.grid.count
+    def __init__(self, grid: FrequencyGrid, psi_fwd, psi_bwd, leaked_norm: float = 0.0):
+        f = np.asarray(psi_fwd, dtype=complex)
+        b = np.asarray(psi_bwd, dtype=complex)
+        n = grid.count
         if f.shape != (n,) or b.shape != (n,):
             raise ValueError(f"amplitudes must have shape ({n},), got {f.shape} and {b.shape}")
-        object.__setattr__(self, "psi_fwd", f)
-        object.__setattr__(self, "psi_bwd", b)
+        _fill(self, grid, np.array([f, b]), leaked_norm)
+
+    @property
+    def psi_fwd(self) -> np.ndarray:
+        return self.amps[0]
+
+    @property
+    def psi_bwd(self) -> np.ndarray:
+        return self.amps[1]
 
     def norm(self) -> float:
-        return math.sqrt(float(np.sum(np.abs(self.psi_fwd) ** 2)
-                               + np.sum(np.abs(self.psi_bwd) ** 2)))
+        return math.sqrt(float(np.sum(np.abs(self.amps) ** 2)))
 
 
-@dataclass(frozen=True, eq=False)
-class SectorInvolution:
-    """Diagonal unitary with entries +-1, squaring to the identity by construction.
+def _fill(s: DoubletState, grid: FrequencyGrid, amps: np.ndarray, leaked_norm: float) -> None:
+    amps.flags.writeable = False
+    object.__setattr__(s, "grid", grid)
+    object.__setattr__(s, "amps", amps)
+    object.__setattr__(s, "leaked_norm", leaked_norm)
 
-    ``theta``/``phi``, when set, pin the involution to a direction; applying it
-    to a grid pointing elsewhere is rejected.
-    """
 
-    signs: np.ndarray
-    theta: float | None = None
-    phi: float | None = None
+def _state(grid: FrequencyGrid, amps: np.ndarray, leaked_norm: float = 0.0) -> DoubletState:
+    """A state over (2, N) amplitudes that no caller keeps a writable handle on, without a copy."""
+    s = object.__new__(DoubletState)
+    _fill(s, grid, amps, leaked_norm)
+    return s
 
-    def __post_init__(self):
-        s = np.asarray(self.signs, dtype=float)
-        if s.ndim != 1 or not np.all(np.abs(s) == 1.0):
-            raise ValueError("signs must be a 1-d array of +-1 entries")
-        object.__setattr__(self, "signs", s)
 
-    @classmethod
-    def uniform(cls, epsilon: int, count: int,
-                theta: float | None = None, phi: float | None = None) -> "SectorInvolution":
-        if epsilon not in (1, -1):
-            raise ValueError(f"epsilon must be +1 or -1, got {epsilon}")
-        return cls(np.full(count, float(epsilon)), theta, phi)
+def _check_epsilon(epsilon) -> None:
+    if epsilon not in (1, -1):
+        raise ValueError(f"epsilon must be +1 or -1, got {epsilon}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,26 +165,27 @@ def apply_translation(s: DoubletState, a) -> DoubletState:
     """
     a = np.asarray(a, dtype=float)
     phases = np.exp(1j * (s.grid.omegas() * (a[0] - s.grid.direction() @ a[1:])))
-    return DoubletState(s.grid, s.psi_fwd * phases, s.psi_bwd * np.conj(phases))
+    return _state(s.grid, s.amps * np.array([phases, np.conj(phases)]))
 
 
 def apply_axial_rotation(s: DoubletState, alpha: float) -> DoubletState:
     """Rotation about the grid direction: helicity phase exp(i*lambda*alpha) on both sectors."""
     phase = np.exp(1j * s.grid.helicity * alpha)
-    return DoubletState(s.grid, phase * s.psi_fwd, phase * s.psi_bwd)
+    return _state(s.grid, phase * s.amps)
 
 
 def _shift(a: np.ndarray, k: int) -> tuple[np.ndarray, float]:
+    """Shift a by k along its last axis, zero-filling; also the squared norm shifted out."""
     out = np.zeros_like(a)
-    n = a.shape[0]
+    n = a.shape[-1]
     if k >= n or k <= -n:
         return out, float(np.sum(np.abs(a) ** 2))
     if k >= 0:
-        out[k:] = a[:n - k]
-        dropped = a[n - k:] if k > 0 else a[:0]
+        out[..., k:] = a[..., :n - k]
+        dropped = a[..., n - k:]
     else:
-        out[:n + k] = a[-k:]
-        dropped = a[:-k]
+        out[..., :n + k] = a[..., -k:]
+        dropped = a[..., :-k]
     return out, float(np.sum(np.abs(dropped) ** 2))
 
 
@@ -203,53 +206,33 @@ def apply_axial_boost(s: DoubletState, rapidity: float) -> DoubletState:
         raise ValueError(
             f"rapidity {rapidity} is not an integer multiple of ln(ratio) = {step:.6g}; "
             "the lattice has no unitary boost for it")
-    fwd, leak_f = _shift(s.psi_fwd, k)
-    bwd, leak_b = _shift(s.psi_bwd, k)
-    leak = leak_f + leak_b
+    amps, leak = _shift(s.amps, k)
     total = s.norm() ** 2
     if total > 0 and leak > LEAK_WARN_THRESHOLD * total:
         warnings.warn(f"boost pushed {leak:.3e} of squared norm off the lattice",
                       RuntimeWarning, stacklevel=2)
-    return DoubletState(s.grid, fwd, bwd, leaked_norm=leak)
+    return _state(s.grid, amps, leaked_norm=leak)
 
 
-def _check_direction(s: DoubletState, inv: SectorInvolution) -> None:
-    if inv.theta is None and inv.phi is None:
-        return
-    theta = s.grid.theta if inv.theta is None else inv.theta
-    phi = s.grid.phi if inv.phi is None else inv.phi
-    n_inv = group.direction_unit(theta, phi)
-    if np.max(np.abs(n_inv - s.grid.direction())) > 1e-12:
-        raise ValueError("involution direction does not match the grid direction")
+def apply_u_lambda_inf(s: DoubletState, epsilon: int = 1) -> DoubletState:
+    """U(lambda_inf): epsilon times the sector swap; applying it twice is exactly the identity.
 
-
-def apply_u_lambda_inf(s: DoubletState, involution: SectorInvolution | None = None) -> DoubletState:
-    """Sector swap with per-point signs; applying it twice is exactly the identity.
-
-    With a uniform sign epsilon this represents the superluminal involution on
-    the doublet; non-uniform sign patterns still square to the identity but
-    break the intertwining with boosts (the signs fail to commute with index
-    shifts), so covariance checks use uniform signs.
+    epsilon = +-1 is the uniform eigenvalue the representation assigns to the
+    superluminal involution; a uniform sign commutes with every index shift,
+    so the swap intertwines boosts for either choice.
     """
-    if involution is None:
-        involution = SectorInvolution.uniform(1, s.grid.count)
-    if involution.signs.shape != (s.grid.count,):
-        raise ValueError(f"involution has {involution.signs.shape[0]} signs "
-                         f"for a grid of {s.grid.count} points")
-    _check_direction(s, involution)
-    c = involution.signs
-    return DoubletState(s.grid, c * s.psi_bwd, c * s.psi_fwd)
+    _check_epsilon(epsilon)
+    return _state(s.grid, epsilon * s.amps[::-1])
 
 
 def apply_u_minus_i(s: DoubletState) -> DoubletState:
     """Momentum reversal: exchanges the sectors, index-aligned on this lattice."""
-    return DoubletState(s.grid, s.psi_bwd.copy(), s.psi_fwd.copy())
+    return _state(s.grid, s.amps[::-1])
 
 
 def make_epsilon_eigenstate(grid: FrequencyGrid, psi, epsilon: int) -> DoubletState:
     """Doublet (psi, epsilon*psi)/sqrt(2): sector-swap eigenstate with eigenvalue epsilon."""
-    if epsilon not in (1, -1):
-        raise ValueError(f"epsilon must be +1 or -1, got {epsilon}")
+    _check_epsilon(epsilon)
     psi = np.asarray(psi, dtype=complex)
     nrm = float(np.linalg.norm(psi))
     if nrm == 0.0:
@@ -305,21 +288,13 @@ def check_covariance(s: DoubletState, g: AxialElement, discrete: str = "lambda-i
         raise ValueError(f"discrete element must be 'lambda-inf' or 'minus-i', got {discrete!r}")
     lhs = swap(apply_axial(swap(s), g))
     rhs = apply_axial(s, AxialElement(a_conj, g.boost, g.rotation))
-    return float(np.maximum(np.max(np.abs(lhs.psi_fwd - rhs.psi_fwd)),
-                            np.max(np.abs(lhs.psi_bwd - rhs.psi_bwd))))
+    return float(np.abs(lhs.amps - rhs.amps).max())
 
 
 def doublet_to_json(s: DoubletState) -> str:
     """Serialize to the documented JSON layout (amplitudes as [re, im] pairs)."""
     doc = {
-        "grid": {
-            "omega_min": s.grid.omega_min,
-            "ratio": s.grid.ratio,
-            "count": s.grid.count,
-            "theta": s.grid.theta,
-            "phi": s.grid.phi,
-            "helicity": s.grid.helicity,
-        },
+        "grid": asdict(s.grid),
         "psi_fwd": [[float(z.real), float(z.imag)] for z in s.psi_fwd],
         "psi_bwd": [[float(z.real), float(z.imag)] for z in s.psi_bwd],
     }

@@ -231,20 +231,15 @@ def classify_orbit(p):
     NaN or infinite component is rejected.
     """
     p = np.asarray(p, dtype=float)
-    with np.errstate(over="ignore"):
-        scale = np.sum(p * p, axis=-1)
-    far = ~((scale > 1e-300) & (scale < 1e300))
-    zero = np.zeros(scale.shape, dtype=bool)
-    if far.any():
-        # zero, non-finite, or near under- or overflow: the classes are
-        # invariant under positive scaling, so divide by the largest component
-        peak = np.max(np.abs(p), axis=-1)
-        bad = far & ~np.isfinite(peak)
-        if bad.any():
-            raise ValueError(f"momentum components must be finite, got {p[bad][0].tolist()}")
-        zero = far & (peak == 0.0)
-        p = np.where(far[..., None], p / np.where(zero, 1.0, peak)[..., None], p)
-        scale = np.where(far, _dot(p, p), scale)
+    peak = np.max(np.abs(p), axis=-1)
+    bad = ~np.isfinite(peak)
+    if bad.any():
+        raise ValueError(f"momentum components must be finite, got {p[bad][0].tolist()}")
+    # the classes are invariant under positive scaling: the power of two that
+    # brings the largest component into [0.5, 1) rounds nothing and leaves
+    # nothing to over- or underflow below
+    p = np.ldexp(p, -np.frexp(peak)[1][..., None])
+    scale = np.sum(p * p, axis=-1)
     inv = minkowski(p, p)
     forward = p[..., 0] > 0
     labels = np.where(
@@ -253,7 +248,7 @@ def classify_orbit(p):
         np.where(inv > 0,
                  np.where(forward, OrbitClass.MASSIVE_FORWARD, OrbitClass.MASSIVE_BACKWARD),
                  OrbitClass.TACHYONIC))
-    return np.where(zero, OrbitClass.ZERO, labels)[()]
+    return np.where(peak == 0.0, OrbitClass.ZERO, labels)[()]
 
 
 def z_orbit(p, theta: float = 0.0, phi: float = 0.0,

@@ -1,10 +1,11 @@
 """Unitary dictionary between doublet states and two-qubit states.
 
 The sector isometry V sends psi_fwd (+) psi_bwd to psi_fwd x |fwd> +
-psi_bwd x |bwd>, defined on the swap eigenstates and extended linearly.  The
-observable embedding iota realizes A x B as the 2x2 block matrix with blocks
-b_ij * A acting on the stacked doublet; it is a unital *-homomorphism, and
-under V the sector swap becomes I x sigma_x.
+psi_bwd x |bwd>, defined on the swap eigenstates and extended linearly; on a
+doublet's (2, N) amplitude array it only relabels (sector, point) as (point,
+sector), a transpose.  The observable embedding iota realizes A x B as the
+2x2 block matrix with blocks b_ij * A acting on the stacked doublet; it is a
+unital *-homomorphism, and under V the sector swap becomes I x sigma_x.
 
 Two-qubit states follow the ordered basis (+H, +V, -H, -V): direction qubit
 first, polarization second, with the internal dictionary fwd -> H, bwd -> V.
@@ -94,12 +95,12 @@ class BlockOperator:
 
 def stack(s: DoubletState) -> np.ndarray:
     """Doublet as one vector of length 2N, forward block first."""
-    return np.concatenate([s.psi_fwd, s.psi_bwd])
+    return s.amps.ravel()
 
 
 def sector_isometry(s: DoubletState) -> np.ndarray:
-    """V applied to a doublet: an (N, 2) array, column 0 = fwd, column 1 = bwd."""
-    return np.column_stack([s.psi_fwd, s.psi_bwd])
+    """V applied to a doublet: the (N, 2) transpose of its amplitudes, column 0 = fwd."""
+    return s.amps.T
 
 
 def isometry_matrix(n: int) -> np.ndarray:
@@ -154,7 +155,7 @@ def u_lambda_conjugation_check(n: int) -> float:
     """
     labels = np.arange(2.0 * n).reshape(n, 2)
     grid = FrequencyGrid(1.0, 2.0, n)
-    conjugated = sector_isometry(apply_u_lambda_inf(DoubletState(grid, labels[:, 0], labels[:, 1])))
+    conjugated = sector_isometry(apply_u_lambda_inf(DoubletState(grid, *labels.T)))
     return float(np.max(np.abs(conjugated - labels @ PAULI_X.T)))
 
 
@@ -176,7 +177,7 @@ def doublet_to_path_polarization(s: DoubletState) -> TwoQubitState:
     """Single-mode doublet as a path/polarization state: (f, b) -> f|+H> + b|-V>."""
     if s.grid.count != 1:
         raise ValueError("only single-point grids map onto one path/polarization qubit pair")
-    f, b = s.psi_fwd[0], s.psi_bwd[0]
+    f, b = s.amps[:, 0]
     return TwoQubitState(np.array([f, 0.0, 0.0, b]))
 
 

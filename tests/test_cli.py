@@ -160,6 +160,26 @@ def test_bell_check_rejects_a_grid_above_the_cap(capsys):
     assert "grid-size" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_bell_check_rejects_trials_below_one(capsys, trials):
+    assert run_cli(["bell-check", "--trials", trials]) == 2
+    captured = capsys.readouterr()
+    assert "trials" in captured.err and "PASS" not in captured.out
+
+
+@pytest.mark.parametrize("command", ["rep-check", "bell-check", "group-check"])
+def test_check_commands_reject_a_negative_seed_naming_it(capsys, command):
+    assert run_cli([command, "--seed", "-1"]) == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["rep-check", "--trials", "1"],
+                                     ["bell-check", "--trials", "1"],
+                                     ["group-check", "--samples", "1"]])
+def test_check_commands_accept_a_seed_past_64_bits(capsys, command):
+    assert run_cli([*command, "--seed", str(2 ** 100)]) == 0
+
+
 def test_experiment_run_writes_csv_and_manifest(tmp_path, capsys):
     out_file = tmp_path / "run.csv"
     code = run_cli(["experiment", "run", "--phi", "0", "--trials", "50000",

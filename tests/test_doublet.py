@@ -10,7 +10,6 @@ from extpoincare.doublet import (
     AxialElement,
     DoubletState,
     FrequencyGrid,
-    SectorInvolution,
     apply_axial,
     apply_axial_boost,
     apply_axial_rotation,
@@ -224,27 +223,54 @@ def test_sector_swap_plain():
     assert np.array_equal(out.psi_bwd, s.psi_fwd)
 
 
-def test_sector_swap_involutive_for_any_sign_pattern():
+def test_sector_swap_involutive_for_both_epsilons():
     rng = np.random.default_rng(8)
     for _ in range(20):
         s = random_state(rng, GRID)
-        inv = SectorInvolution(rng.choice([-1.0, 1.0], GRID.count))
-        twice = apply_u_lambda_inf(apply_u_lambda_inf(s, inv), inv)
-        assert np.array_equal(twice.psi_fwd, s.psi_fwd)
-        assert np.array_equal(twice.psi_bwd, s.psi_bwd)
+        for eps in (1, -1):
+            twice = apply_u_lambda_inf(apply_u_lambda_inf(s, eps), eps)
+            assert np.array_equal(twice.amps, s.amps)
 
 
-def test_sector_swap_direction_mismatch_rejected():
+def test_sector_swap_carries_epsilon():
     rng = np.random.default_rng(9)
     s = random_state(rng, GRID)
-    inv = SectorInvolution(np.ones(GRID.count), theta=0.5, phi=0.0)
-    with pytest.raises(ValueError, match="direction"):
-        apply_u_lambda_inf(s, inv)
+    for eps in (1, -1):
+        out = apply_u_lambda_inf(s, eps)
+        assert np.array_equal(out.psi_fwd, eps * s.psi_bwd)
+        assert np.array_equal(out.psi_bwd, eps * s.psi_fwd)
 
 
-def test_involution_signs_validated():
-    with pytest.raises(ValueError):
-        SectorInvolution(np.array([1.0, 0.5]))
+def test_sector_swap_rejects_epsilon_other_than_plus_minus_one():
+    s = random_state(np.random.default_rng(9), GRID)
+    for eps in (0, 2, -2, 0.5, -1.5):
+        with pytest.raises(ValueError, match="epsilon"):
+            apply_u_lambda_inf(s, eps)
+
+
+def test_amplitudes_are_one_read_only_array_that_does_not_alias_the_inputs():
+    f = np.arange(4, dtype=complex)
+    b = 1j * np.arange(4)
+    s = DoubletState(FrequencyGrid(1.0, 2.0, 4), f, b)
+    assert s.amps.shape == (2, 4) and s.amps.dtype == complex
+    assert np.array_equal(s.amps, [f, b])
+    assert np.shares_memory(s.psi_fwd, s.amps) and np.shares_memory(s.psi_bwd, s.amps)
+    assert not np.shares_memory(s.amps, f) and not np.shares_memory(s.amps, b)
+    f[0] = 99.0
+    assert s.psi_fwd[0] == 0.0
+    for view in (s.amps, s.psi_fwd, s.psi_bwd):
+        with pytest.raises(ValueError, match="read-only"):
+            view[0] = 1.0
+    for out in (apply_translation(s, [0.1, 0.2, 0.3, 0.4]), apply_axial_rotation(s, 0.3),
+                apply_axial_boost(s, 0.0), apply_u_lambda_inf(s), apply_u_minus_i(s)):
+        assert not out.amps.flags.writeable
+
+
+@pytest.mark.parametrize("fwd, bwd", [(np.zeros(3), np.zeros(4)), (np.zeros(4), np.zeros(5)),
+                                      (np.zeros((2, 4)), np.zeros(4)), (np.zeros(4), 0.0)])
+def test_mismatched_sector_shapes_raise_the_shape_message(fwd, bwd):
+    with pytest.raises(ValueError, match=r"amplitudes must have shape \(4,\)"):
+        DoubletState(FrequencyGrid(1.0, 2.0, 4), fwd, bwd)
 
 
 def test_momentum_reversal_swaps_sectors():
@@ -392,3 +418,12 @@ def test_json_roundtrip():
     assert back.grid == grid
     assert np.array_equal(back.psi_fwd, s.psi_fwd)
     assert np.array_equal(back.psi_bwd, s.psi_bwd)
+
+
+def test_json_layout_is_unchanged():
+    s = DoubletState(FrequencyGrid(0.25, 1.5, 3, theta=0.3, phi=1.0, helicity=2),
+                     [1, 0.5j, -0.25 + 0.125j], [0, 1e-300, -2.5])
+    assert doublet_to_json(s) == (
+        '{"grid": {"omega_min": 0.25, "ratio": 1.5, "count": 3, "theta": 0.3, "phi": 1.0, '
+        '"helicity": 2}, "psi_fwd": [[1.0, 0.0], [0.0, 0.5], [-0.25, 0.125]], '
+        '"psi_bwd": [[0.0, 0.0], [1e-300, 0.0], [-2.5, 0.0]]}')

@@ -220,6 +220,19 @@ def test_classify_orbit_is_exactly_scale_invariant(p, k):
     assert group.classify_orbit(p * 2.0 ** k) is group.classify_orbit(p)
 
 
+def test_classify_orbit_band_edge_is_scale_invariant_far_from_one():
+    # |eta(p,p)| within rounding of the 1e-9 band edge: the class must not
+    # depend on a power-of-two scale, however far from 1 it moves p
+    rng = np.random.default_rng(3)
+    d = rng.normal(size=(2000, 3))
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    eps = rng.choice([1e-9, -1e-9, 5e-10, 2e-9], 2000) * (1 + rng.uniform(-1e-6, 1e-6, 2000))
+    p = np.concatenate([(1 + eps)[:, None], d], axis=1) * rng.uniform(0.1, 10, (2000, 1))
+    classes = group.classify_orbit(p)
+    for k in (-900, -600, 600, 900):
+        assert np.array_equal(group.classify_orbit(np.ldexp(p, k)), classes)
+
+
 anything = st.floats()  # NaN and both infinities included
 
 
