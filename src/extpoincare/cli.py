@@ -9,9 +9,9 @@ Commands
                   --config also takes a manifest, refused unless it was
                   written under the current stream version
 
-Exit status: 2 for input errors, 1 when an asserted invariant fails, 0
-otherwise.  Physics outcomes (signs, magnitudes, discarded trials) never
-change the exit status.
+Exit status: 2 for input errors (a size too large to allocate among them), 1
+when an asserted invariant fails, 0 otherwise.  Physics outcomes (signs,
+magnitudes, discarded trials) never change the exit status.
 """
 
 from __future__ import annotations
@@ -290,7 +290,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as err:
+    except (ValueError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

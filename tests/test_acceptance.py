@@ -1,8 +1,12 @@
 """Acceptance gate: one test per criterion, each printing a PASS line.
 
-Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
+Criteria 3-5 assert the rows of bell_checks, rep_checks and group_checks,
+the one definition of each sampled invariant; the planted-defect tests at the
+end show that every one of those rows can FAIL.  Run with
+`pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 """
 
+import math
 import time
 
 import numpy as np
@@ -49,91 +53,64 @@ def test_criterion_2_phase_dictionary():
               started)
 
 
+# (name, tolerance) of every row each suite reports, in report order
+BELL_CHECK_ROWS = [
+    ("sector isometry preserves inner products", 1e-12),
+    ("observable embedding is a unital *-homomorphism", 1e-10),
+    ("expectations agree on both sides of the dictionary", 1e-10),
+    ("conjugated sector swap equals I x sigma_x", 1e-14),
+    ("swap eigenstates give correlation +-1", 1e-12),
+    ("entanglement entropy hits 0 and ln 2 at the extremes", 1e-12),
+]
+REP_CHECK_ROWS = [
+    ("unitarity of every representation operator", 1e-12),
+    ("sector swap and momentum reversal are involutions", 0.0),
+    ("axial subgroup homomorphism", 1e-10),
+    ("covariance under both discrete conjugations", 1e-10),
+    ("per-point decomposition into swap eigenstates", 1e-12),
+    ("swap eigenstates carry their labels", 1e-12),
+]
+GROUP_CHECK_ROWS = [
+    ("involution squares to identity (10x10 angle grid)", 1e-12),
+    ("product associativity", 1e-12),
+    ("two-sided inverses", 1e-12),
+    ("alpha_z is involutive for every z", 1e-12),
+    ("orbit class invariant under the identity component", 0.0),
+    ("pairing flips sign on the time-direction plane", 1e-12),
+    ("timelike orbit merges with both massive classes and tachyonic", 0.0),
+]
+# group_checks' second row depends on the convention
+CONE_ROWS = [("momentum", "aligned representative maps to its negative"),
+             ("coordinate", "aligned representative is fixed")]
+
+
+def group_check_rows(cone_row):
+    return GROUP_CHECK_ROWS[:1] + [(cone_row, 1e-12)] + GROUP_CHECK_ROWS[1:]
+
+
+def assert_rows_pass(results, want):
+    assert [(r.name, r.tolerance) for r in results] == want
+    assert all(r.passed for r in results), results
+
+
 def test_criterion_3_equivalence_theorem():
     started = time.perf_counter()
-    rng = np.random.default_rng(2024)
-    grid = doublet.FrequencyGrid(1.0, 1.25, 8)
-    n = grid.count
-    for _ in range(100):
-        vec = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
-        vec /= np.linalg.norm(vec)
-        s = doublet.DoubletState(grid, vec[:n], vec[n:])
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        assert qubit.expectation_equality(s, a, b)[2] <= 1e-10
-        assert np.linalg.norm(qubit.sector_isometry(s)) == pytest.approx(s.norm(), abs=1e-12)
-        a2 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        b2 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        prod = qubit.iota(a, b).matrix @ qubit.iota(a2, b2).matrix
-        assert np.max(np.abs(prod - qubit.iota(a @ a2, b @ b2).matrix)) <= 1e-10
-        adj = qubit.iota(a, b).matrix.conj().T
-        assert np.max(np.abs(adj - qubit.iota(a.conj().T, b.conj().T).matrix)) <= 1e-10
-    assert np.array_equal(qubit.iota(np.eye(n), qubit.ID2).matrix, np.eye(2 * n))
-    for size in (1, 8):
-        assert qubit.u_lambda_conjugation_check(size) <= 1e-14
+    assert_rows_pass(checks.bell_checks(), BELL_CHECK_ROWS)
     _announce(3, "dictionary preserves expectations, products, adjoints and the swap block form",
               started)
 
 
 def test_criterion_4_representation_suite():
     started = time.perf_counter()
-    rng = np.random.default_rng(4096)
-    grid = doublet.FrequencyGrid(1.0, 1.25, 16)
-    step = grid.step()
-    n = grid.count
-    for _ in range(100):
-        vec = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
-        vec /= np.linalg.norm(vec)
-        s = doublet.DoubletState(grid, vec[:n], vec[n:])
-
-        swapped_twice = doublet.apply_u_lambda_inf(doublet.apply_u_lambda_inf(s))
-        assert np.array_equal(swapped_twice.psi_fwd, s.psi_fwd)
-        assert np.array_equal(swapped_twice.psi_bwd, s.psi_bwd)
-        reversed_twice = doublet.apply_u_minus_i(doublet.apply_u_minus_i(s))
-        assert np.array_equal(reversed_twice.psi_fwd, s.psi_fwd)
-        assert np.array_equal(reversed_twice.psi_bwd, s.psi_bwd)
-
-        for op in (doublet.apply_translation(s, rng.uniform(-3, 3, 4)),
-                   doublet.apply_axial_rotation(s, rng.uniform(-np.pi, np.pi)),
-                   doublet.apply_u_lambda_inf(s),
-                   doublet.apply_u_minus_i(s)):
-            assert abs(op.norm() - 1.0) <= 1e-12
-
-        interior = np.array(vec)
-        interior[:6] = interior[n - 6:n] = 0.0
-        interior[n:n + 6] = interior[2 * n - 6:] = 0.0
-        nrm = np.linalg.norm(interior)
-        si = doublet.DoubletState(grid, interior[:n] / nrm, interior[n:] / nrm)
-        g1 = doublet.AxialElement(rng.uniform(-2, 2, 4),
-                                  int(rng.integers(-3, 4)) * step, rng.uniform(-np.pi, np.pi))
-        g2 = doublet.AxialElement(rng.uniform(-2, 2, 4),
-                                  int(rng.integers(-3, 4)) * step, rng.uniform(-np.pi, np.pi))
-        left = doublet.apply_axial(doublet.apply_axial(si, g2), g1)
-        right = doublet.apply_axial(si, doublet.axial_product(grid, g1, g2))
-        assert np.max(np.abs(left.psi_fwd - right.psi_fwd)) <= 1e-10
-        assert np.max(np.abs(left.psi_bwd - right.psi_bwd)) <= 1e-10
-        assert doublet.check_covariance(si, g1, "lambda-inf") <= 1e-10
-        assert doublet.check_covariance(si, g1, "minus-i") <= 1e-10
+    assert_rows_pass(checks.rep_checks(), REP_CHECK_ROWS)
     _announce(4, "involutions exact, operators unitary, axial homomorphism and covariances hold",
               started)
 
 
 def test_criterion_5_group_suite():
     started = time.perf_counter()
-    for theta in np.linspace(0, np.pi, 10):
-        for phi in np.linspace(0, 2 * np.pi, 10):
-            m = group.make_lambda_inf(theta, phi)
-            assert np.max(np.abs(m @ m - np.eye(4))) <= 1e-12
-            p0 = group.lightlike_representative(1.0, theta, phi)
-            assert np.max(np.abs(m @ p0 + p0)) <= 1e-12
-    classes = {cls for _, _, cls in group.z_orbit(np.array([1.0, 0, 0, 0]))}
-    assert {group.OrbitClass.MASSIVE_FORWARD, group.OrbitClass.MASSIVE_BACKWARD,
-            group.OrbitClass.TACHYONIC} <= classes
-    rng = np.random.default_rng(55)
-    for _ in range(100):
-        p = rng.uniform(-2, 2, 4)
-        lam = group.random_proper_orthochronous(rng)
-        assert group.classify_orbit(lam @ p) is group.classify_orbit(p)
+    for convention, cone_row in CONE_ROWS:
+        assert_rows_pass(checks.group_checks(convention), group_check_rows(cone_row))
     _announce(5, "involution squares, cone swap, orbit merging and class invariance hold", started)
 
 
@@ -167,32 +144,125 @@ def test_criterion_7_reproducibility(tmp_path):
               started)
 
 
-def test_full_check_suites_pass():
-    # the CLI report suites are part of the same gate
-    for result in (checks.group_checks(samples=50)
-                   + checks.rep_checks(trials=50)
-                   + checks.bell_checks(trials=50)):
-        assert result.passed, result
+@pytest.mark.parametrize("convention, cone_row", CONE_ROWS)
+def test_group_suite_rows_and_results_hold_over_seeds(convention, cone_row):
+    for seed in range(21):
+        assert_rows_pass(checks.group_checks(convention, seed=seed), group_check_rows(cone_row))
 
 
-GROUP_CHECK_ROWS = [
-    ("involution squares to identity (10x10 angle grid)", 1e-12),
-    ("product associativity", 1e-12),
-    ("two-sided inverses", 1e-12),
-    ("alpha_z is involutive for every z", 1e-12),
-    ("orbit class invariant under the identity component", 0.0),
-    ("pairing flips sign on the time-direction plane", 1e-12),
-    ("timelike orbit merges with both massive classes and tachyonic", 0.0),
+def _doublet(s, amps):
+    return doublet.DoubletState(s.grid, *amps)
+
+
+def _translation_with_the_forward_phase_in_both_sectors(orig):
+    def translate(s, a):
+        phases = orig(_doublet(s, np.ones((2, s.grid.count))), a).psi_fwd
+        return _doublet(s, phases * s.amps)
+    return translate
+
+
+def _swap_with_the_first_samples_projector(orig):
+    def swap(theta, phi):
+        s = orig(theta, phi)
+        s[..., 1:, 1:] = orig(np.ravel(theta)[0], np.ravel(phi)[0])[1:, 1:]
+        return s
+    return swap
+
+
+# The suites at the sizes the planted defects run them: each defect below
+# fails its row at every seed 0-49 at these sizes.
+SMALL_SUITES = {
+    "rep": lambda: checks.rep_checks(16, trials=5),
+    "bell": lambda: checks.bell_checks(8, trials=5),
+    "momentum": lambda: checks.group_checks("momentum", 100),
+    "coordinate": lambda: checks.group_checks("coordinate", 100),
+}
+
+# One planted defect per suite row: (suite, row the defect must FAIL, module,
+# attribute, defect built from the original attribute).
+PLANTED_DEFECTS = [
+    pytest.param("rep", REP_CHECK_ROWS[0][0], doublet, "apply_axial_rotation",
+                 lambda orig: lambda s, alpha: _doublet(s, (1 + 1j * s.grid.helicity * alpha)
+                                                        * s.amps),
+                 id="rotation-phase-linearised"),
+    pytest.param("rep", REP_CHECK_ROWS[1][0], doublet, "apply_u_lambda_inf",
+                 lambda orig: lambda s, epsilon=1: _doublet(s, [epsilon * s.psi_bwd, s.psi_fwd]),
+                 id="swap-sign-on-one-sector"),
+    pytest.param("rep", REP_CHECK_ROWS[2][0], doublet, "axial_product",
+                 lambda orig: lambda grid, g1, g2: doublet.AxialElement(
+                     g1.translation + g2.translation, g1.boost + g2.boost,
+                     g1.rotation + g2.rotation),
+                 id="axial-product-adds-translations"),
+    pytest.param("rep", REP_CHECK_ROWS[3][0], doublet, "apply_translation",
+                 _translation_with_the_forward_phase_in_both_sectors,
+                 id="backward-sector-gets-forward-phase"),
+    pytest.param("rep", REP_CHECK_ROWS[4][0], doublet, "epsilon_components",
+                 lambda orig: lambda s: orig(s)[::-1], id="epsilon-components-swapped"),
+    pytest.param("rep", REP_CHECK_ROWS[5][0], doublet, "apply_u_lambda_inf",
+                 lambda orig: lambda s, epsilon=1: orig(s), id="swap-ignores-epsilon"),
+    pytest.param("bell", BELL_CHECK_ROWS[0][0], qubit, "sector_isometry",
+                 lambda orig: lambda s: orig(s).conj(), id="isometry-conjugated"),
+    pytest.param("bell", BELL_CHECK_ROWS[1][0], qubit, "apply_block",
+                 lambda orig: lambda op, s: orig(qubit.BlockOperator(op.a, op.b.T), s),
+                 id="block-action-transposes-b"),
+    # A x conj(B) is still a unital *-homomorphism, so only the dictionary breaks
+    pytest.param("bell", BELL_CHECK_ROWS[2][0], qubit, "apply_block",
+                 lambda orig: lambda op, s: orig(qubit.BlockOperator(op.a, op.b.conj()), s),
+                 id="block-action-conjugates-b"),
+    pytest.param("bell", BELL_CHECK_ROWS[3][0], qubit, "apply_u_lambda_inf",
+                 lambda orig: lambda s, epsilon=1: s, id="swap-that-does-not-swap"),
+    pytest.param("bell", BELL_CHECK_ROWS[4][0], doublet, "make_epsilon_eigenstate",
+                 lambda orig: lambda grid, psi, epsilon: orig(grid, psi, -epsilon),
+                 id="eigenstate-of-the-other-eigenvalue"),
+    pytest.param("bell", BELL_CHECK_ROWS[5][0], qubit, "entanglement_entropy",
+                 lambda orig: lambda t: orig(t) / math.log(2.0), id="entropy-in-bits"),
+    pytest.param("momentum", GROUP_CHECK_ROWS[0][0], group, "coordinate_swap",
+                 _swap_with_the_first_samples_projector, id="stacked-swap-one-projector"),
+    *[pytest.param(convention, cone_row, group, "lightlike_representative",
+                   lambda orig: lambda omega, theta=0.0, phi=0.0:
+                   orig(omega, theta, phi) * [1.0, -1.0, -1.0, -1.0],
+                   id=f"representative-opposite-n-{convention}")
+      for convention, cone_row in CONE_ROWS],
+    pytest.param("momentum", GROUP_CHECK_ROWS[1][0], group, "poincare_mul",
+                 lambda orig: lambda g, h: group.ExtPoincareElement(
+                     g.linear @ h.linear, g.translation + group.act(h.linear, h.translation)),
+                 id="product-translation-a-plus-h2-a2"),
+    pytest.param("momentum", GROUP_CHECK_ROWS[2][0], group, "poincare_inverse",
+                 lambda orig: lambda g: group.ExtPoincareElement(
+                     orig(g).linear, np.zeros_like(g.translation)),
+                 id="inverse-drops-the-translation"),
+    pytest.param("momentum", GROUP_CHECK_ROWS[3][0], group, "alpha_z",
+                 lambda orig: lambda z, n: group.ExtPoincareElement(
+                     orig(z, n).linear, group.act(z @ group.METRIC, n.translation)),
+                 id="alpha-z-lowers-the-translation-index"),
+    pytest.param("momentum", GROUP_CHECK_ROWS[4][0], group, "classify_orbit",
+                 lambda orig: lambda p: orig(np.asarray(p)[..., [3, 1, 2, 0]]),
+                 id="orbit-time-read-from-p3"),
+    pytest.param("momentum", GROUP_CHECK_ROWS[5][0], group, "minkowski",
+                 lambda orig: lambda u, v: np.sum(np.multiply(u, v), axis=-1),
+                 id="euclidean-pairing"),
+    pytest.param("momentum", GROUP_CHECK_ROWS[6][0], group, "classify_orbit",
+                 lambda orig: lambda p: orig(np.concatenate([abs(p[..., :1]), p[..., 1:]], -1)),
+                 id="orbit-ignores-the-sign-of-p0"),
 ]
 
 
-@pytest.mark.parametrize("convention, cone_row", [
-    ("momentum", "aligned representative maps to its negative"),
-    ("coordinate", "aligned representative is fixed"),
-])
-def test_group_suite_rows_and_results_hold_over_seeds(convention, cone_row):
-    want = GROUP_CHECK_ROWS[:1] + [(cone_row, 1e-12)] + GROUP_CHECK_ROWS[1:]
-    for seed in range(21):
-        results = checks.group_checks(convention, seed=seed)
-        assert [(r.name, r.tolerance) for r in results] == want
-        assert all(r.passed for r in results), seed
+def test_planted_defects_cover_every_suite_row():
+    rows = {name for name, _ in BELL_CHECK_ROWS + REP_CHECK_ROWS + GROUP_CHECK_ROWS}
+    rows |= {cone_row for _, cone_row in CONE_ROWS}
+    assert {param.values[1] for param in PLANTED_DEFECTS} == rows
+
+
+def test_suites_pass_at_the_planted_defect_sizes():
+    for suite, run in SMALL_SUITES.items():
+        assert all(r.passed for r in run()), suite
+
+
+@pytest.mark.parametrize("suite, row, module, name, defect", PLANTED_DEFECTS)
+def test_planted_defect_fails_its_row(monkeypatch, suite, row, module, name, defect):
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, defect(original))
+    results = {r.name: r for r in SMALL_SUITES[suite]()}
+    assert not results[row].passed, results[row]
+    monkeypatch.undo()
+    assert getattr(module, name) is original

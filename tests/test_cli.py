@@ -148,6 +148,27 @@ def test_rep_check_zero_helicity(capsys):
     assert "FAIL" not in capsys.readouterr().out
 
 
+def test_rep_check_notes_the_rows_without_a_boost(capsys):
+    # at 4 points max_steps is 0, so every drawn boost is the identity
+    assert run_cli(["rep-check", "--grid-size", "4", "--trials", "10", "--format", "json"]) == 0
+    notes = {c["name"]: c["note"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    boosted = {"unitarity of every representation operator", "axial subgroup homomorphism",
+               "covariance under both discrete conjugations"}
+    assert {name for name, note in notes.items() if note} == boosted
+    assert all("no boost exercised" in notes[name] for name in boosted)
+    assert run_cli(["rep-check", "--grid-size", "5", "--trials", "10", "--format", "json"]) == 0
+    assert not any(c["note"] for c in json.loads(capsys.readouterr().out)["checks"])
+
+
+# 2**50 points: numpy refuses the 8 PiB array before allocating anything
+@pytest.mark.parametrize("argv", [["experiment", "sweep", "--points", str(2 ** 50)],
+                                  ["rep-check", "--grid-size", str(2 ** 50)]])
+def test_a_size_too_large_to_allocate_exits_2(capsys, argv):
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_bell_check_passes(capsys):
     assert run_cli(["bell-check", "--grid-size", "8", "--trials", "25"]) == 0
     out = capsys.readouterr().out

@@ -10,7 +10,6 @@ from extpoincare.qubit import (
     apply_block,
     doublet_to_path_polarization,
     entanglement_entropy,
-    expectation_equality,
     iota,
     sector_isometry,
     stack,
@@ -83,32 +82,6 @@ def test_iota_is_a_star_homomorphism():
         assert np.max(np.abs(prod - iota(a1 @ a2, b1 @ b2).matrix)) < 1e-10
         adj = iota(a1, b1).matrix.conj().T
         assert np.max(np.abs(adj - iota(a1.conj().T, b1.conj().T).matrix)) < 1e-12
-
-
-def test_expectation_equality_on_eigenstates():
-    rng = np.random.default_rng(3)
-    psi = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    psi /= np.linalg.norm(psi)
-    for eps in (1, -1):
-        s = make_epsilon_eigenstate(GRID, psi, eps)
-        lhs, rhs, gap = expectation_equality(s, np.eye(8), PAULI_X)
-        assert gap < 1e-12
-        assert lhs == pytest.approx(eps, abs=1e-12)
-        assert rhs == pytest.approx(eps, abs=1e-12)
-
-
-def test_expectation_equality_random_triples():
-    rng = np.random.default_rng(4)
-    for _ in range(100):
-        s = random_state(rng)
-        a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        assert expectation_equality(s, a, b)[2] < 1e-10
-
-
-def test_conjugated_swap_is_identity_tensor_sigma_x():
-    assert u_lambda_conjugation_check(1) == 0.0
-    assert u_lambda_conjugation_check(8) <= 1e-14
 
 
 @pytest.mark.parametrize("n", [1, 2, 6])
