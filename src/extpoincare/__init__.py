@@ -41,8 +41,6 @@ from .group import (
     z_orbit,
 )
 from .qubit import (
-    O_XX,
-    QubitObservable,
     TwoQubitState,
     entanglement_entropy,
     expectation_equality,
@@ -60,7 +58,7 @@ __all__ = [
     "expected_correlation", "run_trials", "sweep_phase",
     "ExtPoincareElement", "OrbitClass", "alpha_z",
     "classify_orbit", "make_lambda_inf", "minkowski", "poincare_mul", "z_orbit",
-    "O_XX", "QubitObservable", "TwoQubitState", "entanglement_entropy",
+    "TwoQubitState", "entanglement_entropy",
     "expectation_equality", "iota", "sector_isometry",
     "u_lambda_conjugation_check",
     "__version__",

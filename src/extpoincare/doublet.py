@@ -29,13 +29,18 @@ SQRT2 = math.sqrt(2.0)
 LATTICE_TOL = 1e-9
 LEAK_WARN_THRESHOLD = 1e-6
 
+# exp(i lambda alpha) rounds at about eps * |lambda alpha|: near 1e-12 at this bound,
+# while at |lambda| = 1e6 rounding alone breaks the 1e-10 axial homomorphism check
+MAX_HELICITY = 1000
+
 
 @dataclass(frozen=True)
 class FrequencyGrid:
     """Log-spaced positive frequencies omega_min * ratio**i along one direction.
 
-    Every real field must be finite.  A lattice that climbs past the float
-    range is accepted; its top frequencies are inf and translations on it NaN.
+    Every real field must be finite, helicity an integer in [-1000, 1000].  A
+    lattice past the float range is accepted; its top frequencies are inf and
+    translations on it NaN.
     """
 
     omega_min: float
@@ -46,6 +51,10 @@ class FrequencyGrid:
     helicity: int = 1
 
     def __post_init__(self):
+        # an int compares exactly here, before isfinite converts it to a float
+        if abs(self.helicity) > MAX_HELICITY:
+            raise ValueError(f"helicity must be in [-{MAX_HELICITY}, {MAX_HELICITY}], "
+                             f"got {self.helicity}")
         for name in ("omega_min", "ratio", "theta", "phi", "helicity"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")

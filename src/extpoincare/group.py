@@ -226,7 +226,9 @@ def classify_orbit(p):
     """Orbit labels from (sign of eta(p,p), sign of p0), over momenta (..., 4).
 
     |eta(p,p)| below 1e-9 times the squared Euclidean norm counts as
-    lightlike; the zero vector gets its own flag rather than an exception.
+    lightlike; that norm is not Lorentz invariant, so neither is the band, and
+    a boost can move a near-cone momentum across it.  The zero vector gets its
+    own flag rather than an exception.
     One momentum gives an OrbitClass, a stack an object array of them.  A
     NaN or infinite component is rejected.
     """

@@ -13,14 +13,11 @@ first, polarization second, with the internal dictionary fwd -> H, bwd -> V.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .doublet import DoubletState, FrequencyGrid, apply_u_lambda_inf
-
-BASIS = ("+H", "+V", "-H", "-V")
 
 ID2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -41,34 +38,6 @@ class TwoQubitState:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def density(self) -> np.ndarray:
-        return np.outer(self.amplitudes, np.conj(self.amplitudes))
-
-
-@dataclass(frozen=True, eq=False)
-class QubitObservable:
-    """Product observable A x B; each factor must be Hermitian."""
-
-    direction_part: np.ndarray
-    polarization_part: np.ndarray
-
-    def __post_init__(self):
-        for name, m in (("direction_part", self.direction_part),
-                        ("polarization_part", self.polarization_part)):
-            m = np.asarray(m, dtype=complex)
-            if m.shape != (2, 2):
-                raise ValueError(f"{name} must be 2x2")
-            if np.max(np.abs(m - m.conj().T)) > 1e-12:
-                raise ValueError(f"{name} is not Hermitian")
-            object.__setattr__(self, name, m)
-
-    def matrix(self) -> np.ndarray:
-        """Dense 4x4 matrix in the (+H, +V, -H, -V) basis."""
-        return np.kron(self.direction_part, self.polarization_part)
-
-
-O_XX = QubitObservable(PAULI_X, PAULI_X)
-
 
 @dataclass(frozen=True, eq=False)
 class BlockOperator:
@@ -83,19 +52,6 @@ class BlockOperator:
     @property
     def sector_dim(self) -> int:
         return self.a.shape[0]
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        return self.b[i, j] * self.a
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Dense 2N x 2N form kron(B, A), the reference the factored action is tested against."""
-        return np.kron(self.b, self.a)
-
-
-def stack(s: DoubletState) -> np.ndarray:
-    """Doublet as one vector of length 2N, forward block first."""
-    return s.amps.ravel()
 
 
 def sector_isometry(s: DoubletState) -> np.ndarray:
@@ -141,7 +97,7 @@ def u_lambda_block(n: int) -> BlockOperator:
 def expectation_equality(s: DoubletState, a, b) -> tuple[complex, complex, float]:
     """Both sides of <Psi, iota(AxB) Psi> = <V Psi, (AxB) V Psi> and their gap."""
     op = iota(a, b)
-    lhs = complex(np.vdot(stack(s), stack(apply_block(op, s))))
+    lhs = complex(np.vdot(s.amps, apply_block(op, s).amps))
     w = sector_isometry(s)
     rhs = complex(np.vdot(w, op.a @ w @ op.b.T))
     return lhs, rhs, abs(lhs - rhs)
@@ -179,18 +135,3 @@ def doublet_to_path_polarization(s: DoubletState) -> TwoQubitState:
         raise ValueError("only single-point grids map onto one path/polarization qubit pair")
     f, b = s.amps[:, 0]
     return TwoQubitState(np.array([f, 0.0, 0.0, b]))
-
-
-def two_qubit_to_json(t: TwoQubitState) -> str:
-    doc = {
-        "basis": list(BASIS),
-        "amplitudes": [[float(z.real), float(z.imag)] for z in t.amplitudes],
-    }
-    return json.dumps(doc)
-
-
-def two_qubit_from_json(text: str) -> TwoQubitState:
-    doc = json.loads(text)
-    if tuple(doc.get("basis", ())) != BASIS:
-        raise ValueError(f"unexpected basis labels {doc.get('basis')!r}")
-    return TwoQubitState(np.array([complex(re, im) for re, im in doc["amplitudes"]]))

@@ -22,10 +22,12 @@ import numpy as np
 
 from extpoincare.doublet import DoubletState, FrequencyGrid
 from extpoincare.experiment import ExperimentConfig
-from extpoincare.qubit import TwoQubitState, doublet_to_path_polarization
+from extpoincare.qubit import PAULI_X, TwoQubitState, doublet_to_path_polarization
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 ANALYZER = np.kron(HADAMARD, HADAMARD)
+# the measured observable X x X, dense in the (+H, +V, -H, -V) basis
+XX = np.kron(PAULI_X, PAULI_X)
 
 # (x_dir, x_pol) of each detector; transmitted PBS port = +
 DETECTORS = {"D1": (1, 1), "D2": (1, -1), "D3": (-1, 1), "D4": (-1, -1)}
@@ -34,6 +36,11 @@ OUTCOMES = tuple(DETECTORS.values())
 TRIALS_PER_STREAM = 1 << 16
 
 _ONE_POINT = FrequencyGrid(1.0, 2.0, 1)
+
+
+def density(state: TwoQubitState) -> np.ndarray:
+    """The pure state's density matrix |t><t|."""
+    return np.outer(state.amplitudes, np.conj(state.amplitudes))
 
 
 def prepare_state(phi: float, visibility: float = 1.0):
@@ -52,14 +59,14 @@ def prepare_state(phi: float, visibility: float = 1.0):
     state = doublet_to_path_polarization(doublet)
     if visibility == 1.0:
         return state
-    pure = state.density()
+    pure = density(state)
     dephased = np.diag(np.diag(pure))
     return visibility * pure + (1.0 - visibility) * dephased
 
 
 def _as_density(state) -> np.ndarray:
     if isinstance(state, TwoQubitState):
-        return state.density()
+        return density(state)
     rho = np.asarray(state, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a TwoQubitState or 4x4 density matrix, got shape {rho.shape}")

@@ -23,10 +23,9 @@ def _announce(number: int, text: str, started: float) -> None:
 
 def test_criterion_1_eigenvalue_correlation():
     started = time.perf_counter()
-    o_xx = qubit.O_XX.matrix()
     for eps, phi in ((1, 0.0), (-1, np.pi)):
         state = per_trial.prepare_state(phi)
-        dense = np.vdot(state.amplitudes, o_xx @ state.amplitudes).real
+        dense = np.vdot(state.amplitudes, per_trial.XX @ state.amplitudes).real
         probs = per_trial.born_probabilities(state)
         summed = per_trial.correlation_from_probabilities(probs)
         assert abs(dense - eps) < 1e-12
@@ -169,6 +168,10 @@ def _swap_with_the_first_samples_projector(orig):
     return swap
 
 
+def _involution_scaled_by_1_001(orig):
+    return lambda *args, **kwargs: 1.001 * orig(*args, **kwargs)
+
+
 # The suites at the sizes the planted defects run them: each defect below
 # fails its row at every seed 0-49 at these sizes.
 SMALL_SUITES = {
@@ -218,6 +221,8 @@ PLANTED_DEFECTS = [
                  lambda orig: lambda t: orig(t) / math.log(2.0), id="entropy-in-bits"),
     pytest.param("momentum", GROUP_CHECK_ROWS[0][0], group, "coordinate_swap",
                  _swap_with_the_first_samples_projector, id="stacked-swap-one-projector"),
+    pytest.param("momentum", GROUP_CHECK_ROWS[0][0], group, "make_lambda_inf",
+                 _involution_scaled_by_1_001, id="involution-scaled-by-1.001"),
     *[pytest.param(convention, cone_row, group, "lightlike_representative",
                    lambda orig: lambda omega, theta=0.0, phi=0.0:
                    orig(omega, theta, phi) * [1.0, -1.0, -1.0, -1.0],
@@ -266,3 +271,16 @@ def test_planted_defect_fails_its_row(monkeypatch, suite, row, module, name, def
     assert not results[row].passed, results[row]
     monkeypatch.undo()
     assert getattr(module, name) is original
+
+
+def test_a_broken_involution_is_a_group_check_failure_not_an_input_error(monkeypatch, capsys):
+    # alpha_z refuses the scaled z, so its row records NaN instead of raising
+    monkeypatch.setattr(group, "make_lambda_inf",
+                        _involution_scaled_by_1_001(group.make_lambda_inf))
+    results = {r.name: r for r in checks.group_checks()}
+    assert not results[GROUP_CHECK_ROWS[0][0]].passed
+    assert math.isnan(results[GROUP_CHECK_ROWS[3][0]].max_deviation)
+    assert cli.main(["group-check"]) == 1
+    captured = capsys.readouterr()
+    assert f"FAIL  {GROUP_CHECK_ROWS[3][0]}" in captured.out
+    assert "error:" not in captured.err

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from extpoincare import cli
+from extpoincare import cli, experiment
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -118,13 +118,10 @@ def test_experiment_exponent_form_negative_numbers(tmp_path):
     ("phase_sweep.py", ["--eta", "0", "--dark", "0", "--trials", "100"]),
     ("phase_sweep.py", ["--points", "0"]),
     ("phase_sweep.py", ["--sigma", "-1"]),
-    ("imperfection_scan.py", ["--trials", "0"]),
-    ("imperfection_scan.py", ["--phi", "nan"]),
 ])
 def test_scripts_exit_2_on_input_errors(script, argv, tmp_path, monkeypatch, capsys):
     path = SCRIPTS / script
-    monkeypatch.setattr(sys, "argv", [str(path), *argv, *(
-        ["--out", str(tmp_path / "sweep.csv")] if script == "phase_sweep.py" else [])])
+    monkeypatch.setattr(sys, "argv", [str(path), *argv, "--out", str(tmp_path / "sweep.csv")])
     with pytest.raises(SystemExit) as exc:
         runpy.run_path(str(path), run_name="__main__")
     assert exc.value.code == 2
@@ -146,6 +143,20 @@ def test_rep_check_grid_size_one(capsys):
 def test_rep_check_zero_helicity(capsys):
     assert run_cli(["rep-check", "--helicity", "0", "--trials", "10"]) == 0
     assert "FAIL" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("helicity", ["1000", "-1000"])
+def test_rep_check_passes_at_the_helicity_bound(helicity, capsys):
+    assert run_cli(["rep-check", "--helicity", helicity]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+# 1e6 fails the axial homomorphism row by rounding alone; 10**400 overflows a float
+@pytest.mark.parametrize("helicity", ["1000001", str(10 ** 6), str(10 ** 400)])
+def test_rep_check_rejects_a_helicity_past_the_bound_naming_it(helicity, capsys):
+    assert run_cli(["rep-check", "--helicity", helicity]) == 2
+    err = capsys.readouterr().err
+    assert "helicity" in err and "Traceback" not in err
 
 
 def test_rep_check_notes_the_rows_without_a_boost(capsys):
@@ -224,6 +235,25 @@ def test_experiment_run_prints_csv_without_out(capsys):
     assert out.startswith("phi_rad,")
 
 
+# The imperfection scans: visibility, phase noise, and dark counts below unit
+# efficiency (at eta = 1 a lone dark click can never fake a coincidence).
+SCANS = ([{"visibility": v} for v in (1.0, 0.9, 0.7, 0.5)]
+         + [{"sigma": sigma} for sigma in (0.0, 0.3, 0.6, 1.0)]
+         + [{"eta": 0.9, "dark": dark} for dark in (0.0, 0.005, 0.02, 0.05)])
+
+
+@pytest.mark.parametrize("setting", SCANS,
+                         ids=["-".join(f"{k}{v}" for k, v in s.items()) for s in SCANS])
+def test_experiment_run_tracks_the_prediction_under_each_imperfection(setting, capsys):
+    flags = [arg for key, value in setting.items() for arg in (f"--{key}", repr(value))]
+    assert run_cli(["experiment", "run", "--trials", "200000", *flags]) == 0
+    header, values = capsys.readouterr().out.strip().split("\n")
+    row = dict(zip(header.split(","), values.split(",")))
+    predicted = experiment.expected_correlation(0.0, **setting)
+    assert float(row["expected"]) == predicted
+    assert abs(float(row["e_xx"]) - predicted) <= 4 * float(row["stderr"])
+
+
 def test_experiment_rerun_is_bitwise_identical(tmp_path):
     args = ["experiment", "run", "--phi", "0.7", "--visibility", "0.9",
             "--trials", "60000", "--seed", "9"]
@@ -281,6 +311,8 @@ def test_experiment_rejects_out_of_range_flags(capsys):
     (["--seed", "-1"], "seed"),
     (["--seed", str(2 ** 64)], "seed"),
     (["--workers", "0"], "workers"),
+    (["--phi", "nan"], "phi"),
+    (["--trials", "0"], "trials"),
 ])
 def test_experiment_rejects_bad_inputs_naming_the_field(flags, field, capsys):
     assert run_cli(["experiment", "run", "--trials", "1000"] + flags) == 2

@@ -15,9 +15,8 @@ from extpoincare.experiment import (
     run_trials,
     sweep_phase,
 )
-from extpoincare.qubit import O_XX
-
-from per_trial import DETECTORS, born_probabilities, correlation_from_probabilities, prepare_state
+from per_trial import (DETECTORS, XX, born_probabilities, correlation_from_probabilities,
+                       prepare_state)
 
 
 def test_prepare_state_examples():
@@ -73,7 +72,7 @@ def test_born_probabilities_sum_to_one_with_uniform_marginals(phi, v):
 def test_expectation_two_ways_equals_the_swap_eigenvalue():
     for eps, phi in ((1, 0.0), (-1, np.pi)):
         state = prepare_state(phi)
-        dense = np.vdot(state.amplitudes, O_XX.matrix() @ state.amplitudes).real
+        dense = np.vdot(state.amplitudes, XX @ state.amplitudes).real
         from_counts = correlation_from_probabilities(born_probabilities(state))
         assert dense == pytest.approx(eps, abs=1e-12)
         assert from_counts == pytest.approx(eps, abs=1e-12)

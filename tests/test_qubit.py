@@ -12,14 +12,16 @@ from extpoincare.qubit import (
     entanglement_entropy,
     iota,
     sector_isometry,
-    stack,
-    two_qubit_from_json,
-    two_qubit_to_json,
     u_lambda_block,
     u_lambda_conjugation_check,
 )
 
 GRID = FrequencyGrid(1.0, 1.25, 8)
+
+
+def dense(op):
+    """The dense 2N x 2N reference kron(B, A) of a block operator."""
+    return np.kron(op.b, op.a)
 
 
 def random_state(rng, grid=GRID):
@@ -53,21 +55,21 @@ def test_isometry_preserves_norms_and_inner_products():
         s1, s2 = random_state(rng), random_state(rng)
         w1, w2 = sector_isometry(s1), sector_isometry(s2)
         assert np.linalg.norm(w1) == pytest.approx(s1.norm(), abs=1e-12)
-        assert np.vdot(w1, w2) == pytest.approx(np.vdot(stack(s1), stack(s2)), abs=1e-12)
+        assert np.vdot(w1, w2) == pytest.approx(np.vdot(s1.amps, s2.amps), abs=1e-12)
 
 
 def test_iota_unitality():
     n = 8
-    assert np.array_equal(iota(np.eye(n), ID2).matrix, np.eye(2 * n))
+    assert np.array_equal(dense(iota(np.eye(n), ID2)), np.eye(2 * n))
 
 
 def test_iota_swap_block_form():
-    op = iota(np.eye(8), PAULI_X)
-    assert np.array_equal(op.block(0, 0), np.zeros((8, 8)))
-    assert np.array_equal(op.block(0, 1), np.eye(8))
-    assert np.array_equal(op.block(1, 0), np.eye(8))
-    assert np.array_equal(op.block(1, 1), np.zeros((8, 8)))
-    assert np.array_equal(op.matrix, u_lambda_block(8).matrix)
+    m = dense(iota(np.eye(8), PAULI_X))
+    assert np.array_equal(m[:8, :8], np.zeros((8, 8)))
+    assert np.array_equal(m[:8, 8:], np.eye(8))
+    assert np.array_equal(m[8:, :8], np.eye(8))
+    assert np.array_equal(m[8:, 8:], np.zeros((8, 8)))
+    assert np.array_equal(m, dense(u_lambda_block(8)))
 
 
 def test_iota_is_a_star_homomorphism():
@@ -78,10 +80,10 @@ def test_iota_is_a_star_homomorphism():
         a2 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         b1 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         b2 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        prod = iota(a1, b1).matrix @ iota(a2, b2).matrix
-        assert np.max(np.abs(prod - iota(a1 @ a2, b1 @ b2).matrix)) < 1e-10
-        adj = iota(a1, b1).matrix.conj().T
-        assert np.max(np.abs(adj - iota(a1.conj().T, b1.conj().T).matrix)) < 1e-12
+        prod = dense(iota(a1, b1)) @ dense(iota(a2, b2))
+        assert np.max(np.abs(prod - dense(iota(a1 @ a2, b1 @ b2)))) < 1e-10
+        adj = dense(iota(a1, b1)).conj().T
+        assert np.max(np.abs(adj - dense(iota(a1.conj().T, b1.conj().T)))) < 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 6])
@@ -92,14 +94,11 @@ def test_factored_iota_matches_the_dense_oracle(n):
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         op = iota(a, b)
-        dense = np.kron(b, a)
         assert op.sector_dim == n
-        assert np.array_equal(op.matrix, dense)
-        for i in range(2):
-            for j in range(2):
-                assert np.array_equal(op.block(i, j), dense[i * n:(i + 1) * n, j * n:(j + 1) * n])
+        assert np.array_equal(op.a, a) and np.array_equal(op.b, b)
         s = random_state(rng, grid)
-        assert np.max(np.abs(stack(apply_block(op, s)) - op.matrix @ stack(s))) < 1e-12
+        reference = np.kron(b, a) @ s.amps.ravel()
+        assert np.max(np.abs(apply_block(op, s).amps.ravel() - reference)) < 1e-12
 
 
 def test_iota_validates_its_factors():
@@ -114,9 +113,9 @@ def test_iota_validates_its_factors():
 @pytest.mark.parametrize("n", [1, 2, 6])
 def test_conjugation_check_matches_the_dense_oracle(n):
     v = qubit.isometry_matrix(n)
-    conjugated = v @ u_lambda_block(n).matrix @ v.T
-    dense = float(np.max(np.abs(conjugated - np.kron(np.eye(n), PAULI_X))))
-    assert u_lambda_conjugation_check(n) == dense == 0.0
+    conjugated = v @ dense(u_lambda_block(n)) @ v.T
+    gap = float(np.max(np.abs(conjugated - np.kron(np.eye(n), PAULI_X))))
+    assert u_lambda_conjugation_check(n) == gap == 0.0
 
 
 def test_conjugation_check_detects_a_swap_that_does_not_swap(monkeypatch):
@@ -163,18 +162,6 @@ def test_entropy_rejects_unnormalized_states():
         entanglement_entropy(TwoQubitState([1, 0, 0, 1]))
 
 
-def test_observable_requires_hermitian_factors():
-    with pytest.raises(ValueError, match="Hermitian"):
-        qubit.QubitObservable(np.array([[0, 1], [0, 0]]), PAULI_X)
-
-
-def test_o_xx_matrix():
-    m = qubit.O_XX.matrix()
-    expected = np.zeros((4, 4))
-    expected[0, 3] = expected[3, 0] = expected[1, 2] = expected[2, 1] = 1.0
-    assert np.array_equal(m, expected.astype(complex))
-
-
 def test_single_mode_doublet_maps_to_path_polarization():
     grid = FrequencyGrid(1.0, 2.0, 1)
     for eps in (1, -1):
@@ -183,10 +170,3 @@ def test_single_mode_doublet_maps_to_path_polarization():
         expected = np.array([1, 0, 0, eps]) / np.sqrt(2)
         assert np.max(np.abs(t.amplitudes - expected)) < 1e-12
 
-
-def test_two_qubit_json_roundtrip():
-    state = TwoQubitState(np.array([0.5, 0.5j, -0.5, 0.5]))
-    back = two_qubit_from_json(two_qubit_to_json(state))
-    assert np.array_equal(back.amplitudes, state.amplitudes)
-    with pytest.raises(ValueError, match="basis"):
-        two_qubit_from_json('{"basis": ["HH"], "amplitudes": []}')
