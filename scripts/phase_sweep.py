@@ -7,6 +7,7 @@ visibility * exp(-sigma^2/2), diluted by dark counts when eta < 1.
 """
 
 import argparse
+import math
 
 import numpy as np
 
@@ -44,11 +45,17 @@ def main():
     print(f"wrote {args.out} ({args.points} points x {args.trials} trials)")
     print(f"fitted amplitude  {amplitude:+.5f} +- {stderr:.5f}")
     print(f"predicted         {predicted:+.5f}")
-    e0, epi = rows[0].e_xx, rows[args.points // 2].e_xx
+    # an even point count sweeps no phase at pi
+    at_pi = next((row for row in rows if abs(row.phi - math.pi) <= 1e-12), None)
+    if at_pi is None:
+        print(f"no phi=pi point among the {args.points} swept, no sign to compare")
+        return
+    e0, epi = rows[0].e_xx, at_pi.e_xx
     if e0 is None or epi is None:
         print("E at phi=0 or phi=pi: every trial discarded, no sign to compare")
     else:
-        print(f"E at phi=0: {e0:+.4f}   E at phi=pi: {epi:+.4f}   sign flip: {e0 * epi < 0}")
+        print(f"E at phi=0: {e0:+.4f}   E at phi={at_pi.phi!r}: {epi:+.4f}   "
+              f"sign flip: {e0 * epi < 0}")
 
 
 if __name__ == "__main__":

@@ -46,7 +46,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 # x_dir * x_pol of D1..D4, the sign a lone click at that detector adds to E_XX
-SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
+SIGNS = (1, -1, -1, 1)
 
 CSV_COLUMNS = ("phi_rad", "trials", "kept", "discarded",
                "n_pp", "n_pm", "n_mp", "n_mm", "e_xx", "stderr", "expected")
@@ -79,14 +79,17 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # exact float and int take the short path; the ABC checks cover the rest
         for name in ("phi", "visibility", "eta", "dark", "sigma"):
             value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
+            real = type(value) is float or (not isinstance(value, bool)
+                                            and isinstance(value, numbers.Real))
+            if not (real and math.isfinite(value)):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         for name in ("trials", "seed"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not (type(value) is int or (not isinstance(value, bool)
+                                           and isinstance(value, numbers.Integral))):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError(f"visibility must be in [0, 1], got {self.visibility}")
@@ -111,7 +114,7 @@ class TrialTally:
 
     @property
     def kept(self) -> int:
-        return int(self.counts.sum())
+        return sum(self.counts.tolist())
 
     @property
     def trials(self) -> int:
@@ -121,19 +124,43 @@ class TrialTally:
 def category_probabilities(config: ExperimentConfig) -> np.ndarray:
     """Probabilities of the five trial categories: a lone click at D1..D4, then discarded.
 
-    Averaging the Born weights over the Gaussian phase jitter gives
-    q_j = (1 + s_j V cos phi)/4 with s_j the detector's sign in ``SIGNS`` and
-    V = v exp(-sigma^2/2).  The photon clicks its detector with probability
-    eta and each detector fires a dark click with probability d, all
-    independently, so detector j clicks alone with probability
-    (1-d)^3 (eta q_j + (1-eta) d).  Every other trial ends with no click or
-    several and is discarded.  ``config.phi`` is the phase used; trials and
-    seed are ignored.
+    ``config.phi`` is the phase used; trials and seed are ignored.  The law
+    itself is ``_lone_clicks`` of the correlation c = V cos phi.
     """
-    v = config.visibility * math.exp(-0.5 * config.sigma * config.sigma)
-    q = (1.0 + SIGNS * (v * math.cos(config.phi))) / 4.0
-    lone = (1.0 - config.dark) ** 3 * (config.eta * q + (1.0 - config.eta) * config.dark)
-    return np.append(lone, max(0.0, 1.0 - float(lone.sum())))
+    lone, total = _lone_clicks(_correlation(config), config.eta, config.dark)
+    return np.array([*lone, max(0.0, 1.0 - total)])
+
+
+def _correlation(config: ExperimentConfig) -> float:
+    """c = V cos phi with V = v exp(-sigma^2/2): E_XX of the state after phase jitter."""
+    return config.visibility * math.exp(-0.5 * config.sigma * config.sigma) * math.cos(config.phi)
+
+
+def _lone_clicks(c: float, eta: float, dark: float) -> tuple[list[float], float]:
+    """P(lone click at D1..D4) for correlation c, and their sum.
+
+    Averaging the Born weights over the Gaussian phase jitter gives
+    q_j = (1 + s_j c)/4 with s_j the detector's sign in ``SIGNS``.  The
+    photon clicks its detector with probability eta and each detector fires
+    a dark click with probability d, all independently, so detector j
+    clicks alone with probability (1-d)^3 (eta q_j + (1-eta) d).  Every
+    other trial ends with no click or several and is discarded.  Scalar
+    floats, summed left to right: the stream v2 golden digests in the tests
+    pin this rounding.
+    """
+    survive = (1.0 - dark) ** 3
+    fake = (1.0 - eta) * dark
+    lone = [survive * (eta * ((1.0 + s * c) / 4.0) + fake) for s in SIGNS]
+    p1, p2, p3, p4 = lone
+    return lone, p1 + p2 + p3 + p4
+
+
+def _signed_sum(values) -> float | int:
+    """sum_j SIGNS[j] values[j], added left to right; exact for Python ints."""
+    total = 0
+    for s, value in zip(SIGNS, values):
+        total += s * value
+    return total
 
 
 def expected_correlation(phi: float, visibility: float = 1.0, sigma: float = 0.0,
@@ -149,11 +176,10 @@ def expected_correlation(phi: float, visibility: float = 1.0, sigma: float = 0.0
 
 
 def _expected(config: ExperimentConfig) -> float | None:
-    lone = category_probabilities(config)[:4]
-    total = float(lone.sum())
+    lone, total = _lone_clicks(_correlation(config), config.eta, config.dark)
     if total == 0.0:
         return None
-    return float(SIGNS @ lone) / total
+    return _signed_sum(lone) / total
 
 
 def point_seed(seed: int, point: int) -> np.random.SeedSequence:
@@ -177,14 +203,14 @@ def estimate_exx(tally: TrialTally) -> tuple[float, float]:
     The signed sum is taken in Python integers, so it stays exact for any
     trial count; one correctly rounded division then gives the estimate.
     """
-    kept = tally.kept
+    counts = tally.counts.tolist()
+    kept = sum(counts)
     if kept == 0:
         raise ValueError(
             f"cannot estimate a correlation from an all-discarded tally "
             f"({tally.discarded} trials discarded, 0 kept)")
-    e = sum(int(s) * int(n) for s, n in zip(SIGNS, tally.counts)) / kept
-    stderr = math.sqrt(max(1.0 - e * e, 0.0) / kept)
-    return float(e), float(stderr)
+    e = _signed_sum(counts) / kept
+    return e, math.sqrt(max(1.0 - e * e, 0.0) / kept)
 
 
 @dataclass(frozen=True)
@@ -233,9 +259,10 @@ def sweep_csv_text(rows: Iterable[SweepRow]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for row in rows:
-        t = row.tally
+        counts = row.tally.counts.tolist()
+        kept = sum(counts)
         writer.writerow([
-            repr(row.phi), t.trials, t.kept, t.discarded, *t.counts,
+            repr(row.phi), kept + row.tally.discarded, kept, row.tally.discarded, *counts,
             "" if row.e_xx is None else repr(row.e_xx),
             "" if row.stderr is None else repr(row.stderr),
             "" if row.expected is None else repr(row.expected),

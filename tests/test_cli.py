@@ -1,3 +1,4 @@
+import hashlib
 import json
 import runpy
 import sys
@@ -127,6 +128,21 @@ def test_scripts_exit_2_on_input_errors(script, argv, tmp_path, monkeypatch, cap
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("points, verdict", [
+    ("2", "no phi=pi point among the 2 swept, no sign to compare"),
+    ("4", "no phi=pi point among the 4 swept, no sign to compare"),
+    ("17", "E at phi=0: +1.0000   E at phi=3.141592653589793: -1.0000   sign flip: True"),
+])
+def test_phase_sweep_compares_phi_zero_with_the_swept_pi_point(points, verdict, tmp_path,
+                                                                monkeypatch, capsys):
+    # an even point count over [0, 2 pi] sweeps no phase at pi: no sign verdict
+    path = SCRIPTS / "phase_sweep.py"
+    monkeypatch.setattr(sys, "argv", [str(path), "--points", points, "--trials", "2000",
+                                      "--out", str(tmp_path / "sweep.csv")])
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out.splitlines()[-1] == verdict
 
 
 def test_rep_check_passes(capsys):
@@ -270,6 +286,34 @@ def test_experiment_workers_do_not_change_the_csv(tmp_path):
     assert run_cli(base + ["--workers", "1", "--out", str(a)]) == 0
     assert run_cli(base + ["--workers", "4", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# SHA-256 of the printed CSV under stream rule v2, recorded from the numpy-array
+# form of the outcome law (commit 7b89f83).  The other CSV tests compare one run
+# with another; these pin the draw and the law's rounding to a fixed reference.
+STREAM_V2_GOLDEN = [
+    pytest.param(["sweep", "--visibility", "0.9", "--sigma", "0.2", "--eta", "0.5",
+                  "--dark", "0.05", "--trials", "262144", "--seed", "401", "--points", "17"],
+                 "933dce37653e95f4f32a3070e1b479a9516111e8b4dfd6901544c10312c60196",
+                 id="every-imperfection"),
+    pytest.param(["sweep", "--visibility", "0.95", "--sigma", "0.1", "--trials", "4096",
+                  "--seed", "7"],
+                 "507a716e43fa4afaec494e144557c5d58e20e6d24c9fa2fcdf44e6452cbf6a9b",
+                 id="ideal-detectors"),
+    pytest.param(["sweep", "--eta", "0", "--dark", "0", "--trials", "1000", "--seed", "3"],
+                 "86359591f931a503f13afe4dc5641acf5b44ba3b08dcbb6c8d1761c4be68f88d",
+                 id="every-trial-discarded"),
+    pytest.param(["run", "--trials", str(2 ** 63 - 1), "--phi", "0.7", "--visibility", "0.9",
+                  "--eta", "0.8", "--dark", "0.01", "--seed", "5"],
+                 "7a050aa57165306b7058b19e4092b9444657834fc8655cffd30916375590f443",
+                 id="largest-trial-count"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", STREAM_V2_GOLDEN)
+def test_experiment_csv_matches_the_stream_v2_golden_digest(argv, digest, capsys):
+    assert run_cli(["experiment", *argv]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_experiment_sweep_sign_flip(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from extpoincare import experiment
+from extpoincare import cli, experiment
 from extpoincare.experiment import (
     ExperimentConfig,
     TrialTally,
@@ -242,6 +242,25 @@ def test_sweep_signs_and_seed_derivation():
     assert again.discarded == rows[1].tally.discarded
     first = run_trials(ExperimentConfig(0.0, trials=20_000, seed=42))
     assert np.array_equal(first.counts, rows[0].tally.counts)
+
+
+def test_each_sweep_point_is_one_run_trials_call_through_the_module(monkeypatch):
+    # stream rule v2 seeds point j inside run_trials(config, point=j)
+    calls = []
+    draw = experiment.run_trials
+
+    def counting(config, point=0):
+        calls.append((config.phi, point))
+        return draw(config, point=point)
+
+    monkeypatch.setattr(experiment, "run_trials", counting)
+    phis = np.linspace(0.0, 2 * np.pi, 5)
+    rows = sweep_phase(phis, ExperimentConfig(trials=100, seed=3))
+    assert calls == [(float(phi), j) for j, phi in enumerate(phis)]
+    assert [row.phi for row in rows] == [phi for phi, _ in calls]
+    calls.clear()
+    assert cli.main(["experiment", "sweep", "--points", "7", "--trials", "100"]) == 0
+    assert [point for _, point in calls] == list(range(7))
 
 
 def test_point_streams_never_overlap():
