@@ -193,14 +193,19 @@ def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
 
 def _random_doublet(rng: np.random.Generator, grid: doublet.FrequencyGrid,
                     interior: int = 0) -> doublet.DoubletState:
+    """A unit doublet drawn as the forward then the backward _complex_normal(rng, N)."""
     n = grid.count
     if 2 * interior >= n:
         raise ValueError(f"interior padding {interior} leaves no support on {n} points")
-    amps = np.array([_complex_normal(rng, n), _complex_normal(rng, n)])  # forward drawn first
+    draws = rng.standard_normal((2, 2, n))  # f.re, f.im, b.re, b.im
+    amps = np.empty((2, n), dtype=complex)
+    amps.real = draws[:, 0]
+    amps.imag = draws[:, 1]
     if interior > 0:
         amps[:, :interior] = 0.0
         amps[:, n - interior:] = 0.0
-    return doublet.DoubletState(grid, *(amps / np.linalg.norm(amps)))
+    amps /= np.linalg.norm(amps)
+    return doublet._state(grid, amps)
 
 
 # Note for the rep_checks rows that draw boosts: at N <= 4 the padding leaves
@@ -219,8 +224,8 @@ def rep_checks(grid_size: int = 16, helicity: int = 1, trials: int = 100,
     """Doublet invariants on omega_i = ratio**i, ratio = min(1.25, OMEGA_TOP**(1/(N-1))).
 
     Grids up to N = 31 keep ratio 1.25; larger ones are squeezed so the top
-    frequency stays at OMEGA_TOP.  Each trial holds O(N) arrays (about 31
-    complex N-vectors, 2.0 MB traced at N = 4096) and nothing survives it.
+    frequency stays at OMEGA_TOP.  Each trial holds O(N) arrays (about 27
+    complex N-vectors, 1.75 MB traced at N = 4096) and nothing survives it.
     """
     if grid_size < 1:
         raise ValueError(f"grid size must be positive, got {grid_size}")
@@ -243,13 +248,14 @@ def rep_checks(grid_size: int = 16, helicity: int = 1, trials: int = 100,
     devs = []
     for _ in range(trials):
         s = _random_doublet(rng, grid, interior=max_steps)
+        s_norm = s.norm()
         for op_state in (
                 doublet.apply_translation(s, rng.uniform(-3, 3, 4)),
                 doublet.apply_axial_rotation(s, rng.uniform(-np.pi, np.pi)),
                 doublet.apply_axial_boost(s, rng.integers(-max_steps, max_steps + 1) * step),
                 doublet.apply_u_lambda_inf(s),
                 doublet.apply_u_minus_i(s)):
-            devs.append(abs(op_state.norm() - s.norm()))
+            devs.append(abs(op_state.norm() - s_norm))
     results.append(_result("unitarity of every representation operator", _dist(devs), 1e-12,
                            boost_note))
 
@@ -343,7 +349,7 @@ def bell_checks(grid_size: int = 8, trials: int = 100, seed: int = 0) -> list[Ch
         forward = qubit.apply_block(op, s1)
         adj = qubit.apply_block(qubit.iota(a1.conj().T, b1.conj().T), s2)
         del a1, op
-        unit = qubit.apply_block(qubit.iota(np.eye(n), qubit.ID2), s1)
+        unit = qubit.apply_block(qubit.iota(np.eye(n, dtype=complex), qubit.ID2), s1)
         devs += [_dist(unit.amps, s1.amps), _dist(left.amps, right.amps),
                  abs(np.vdot(s2.amps, forward.amps) - np.vdot(adj.amps, s1.amps))]
     results.append(_result("sector isometry preserves inner products", _dist(iso_devs), 1e-12))
@@ -365,9 +371,10 @@ def bell_checks(grid_size: int = 8, trials: int = 100, seed: int = 0) -> list[Ch
     devs = []
     psi = _complex_normal(rng, n)
     psi = psi / np.linalg.norm(psi)
+    identity = np.eye(n, dtype=complex)
     for eps in (1, -1):
         state = doublet.make_epsilon_eigenstate(grid, psi, eps)
-        lhs, rhs, gap = qubit.expectation_equality(state, np.eye(n), qubit.PAULI_X)
+        lhs, rhs, gap = qubit.expectation_equality(state, identity, qubit.PAULI_X)
         devs += [gap, abs(lhs - eps), abs(rhs - eps)]
     results.append(_result("swap eigenstates give correlation +-1", _dist(devs), 1e-12))
 

@@ -93,6 +93,13 @@ class FrequencyGrid:
         n.flags.writeable = False
         return n
 
+    @functools.cached_property
+    def _coordinate_swap(self) -> np.ndarray:
+        """group.coordinate_swap at the grid direction, computed once per grid; read-only."""
+        m = group.coordinate_swap(self.theta, self.phi)
+        m.flags.writeable = False
+        return m
+
     def step(self) -> float:
         """Lattice spacing in log-frequency; boosts shift by multiples of it."""
         return math.log(self.ratio)
@@ -130,7 +137,8 @@ class DoubletState:
         return self.amps[1]
 
     def norm(self) -> float:
-        return math.sqrt(float(np.sum(np.abs(self.amps) ** 2)))
+        """The l2 norm as one dot product; a NaN amplitude gives NaN."""
+        return math.sqrt(np.vdot(self.amps, self.amps).real)
 
 
 def _fill(s: DoubletState, grid: FrequencyGrid, amps: np.ndarray, leaked_norm: float) -> None:
@@ -170,11 +178,22 @@ class AxialElement:
 def apply_translation(s: DoubletState, a) -> DoubletState:
     """Multiply each amplitude by exp(i eta(p, a)) at its lattice momentum.
 
-    For p = omega_i (1, n) the pairing is eta(p, a) = omega_i (a0 - n.a).
+    For p = omega_i (1, n) the pairing is eta(p, a) = omega_i (a0 - n.a).  The
+    phases are written as cos and sin into one (2, N) buffer, the backward row
+    conjugate; this gives the bits of exp(1j * x).  ``a`` must be a finite
+    4-vector; a lattice past the float range still gives NaN amplitudes.
     """
     a = np.asarray(a, dtype=float)
-    phases = np.exp(1j * (s.grid.omegas() * (a[0] - s.grid.direction() @ a[1:])))
-    return _state(s.grid, s.amps * np.array([phases, np.conj(phases)]))
+    if a.shape != (4,) or not all(map(math.isfinite, a.tolist())):
+        raise ValueError(f"translation a must be a finite 4-vector, got {a!r}")
+    x = s.grid.omegas() * (a[0] - s.grid.direction() @ a[1:])
+    phases = np.empty(s.amps.shape, dtype=complex)
+    re, im = phases.real, phases.imag
+    np.cos(x, out=re[0])
+    re[1] = re[0]
+    np.sin(x, out=im[0])
+    np.negative(im[0], out=im[1])
+    return _state(s.grid, np.multiply(s.amps, phases, out=phases))
 
 
 def apply_axial_rotation(s: DoubletState, alpha: float) -> DoubletState:
@@ -184,7 +203,12 @@ def apply_axial_rotation(s: DoubletState, alpha: float) -> DoubletState:
 
 
 def _shift(a: np.ndarray, k: int) -> tuple[np.ndarray, float]:
-    """Shift a by k along its last axis, zero-filling; also the squared norm shifted out."""
+    """Shift a by k along its last axis, zero-filling; also the squared norm shifted out.
+
+    A shift of 0 returns a itself.
+    """
+    if k == 0:
+        return a, 0.0
     out = np.zeros_like(a)
     n = a.shape[-1]
     if k >= n or k <= -n:
@@ -208,6 +232,8 @@ def apply_axial_boost(s: DoubletState, rapidity: float) -> DoubletState:
     the lost squared norm is recorded on the result and a RuntimeWarning is
     emitted when it exceeds 1e-6 of the squared norm.
     """
+    if not math.isfinite(rapidity):
+        raise ValueError(f"rapidity must be finite, got {rapidity!r}")
     step = s.grid.step()
     delta = rapidity / step
     k = round(delta)
@@ -216,8 +242,7 @@ def apply_axial_boost(s: DoubletState, rapidity: float) -> DoubletState:
             f"rapidity {rapidity} is not an integer multiple of ln(ratio) = {step:.6g}; "
             "the lattice has no unitary boost for it")
     amps, leak = _shift(s.amps, k)
-    total = s.norm() ** 2
-    if total > 0 and leak > LEAK_WARN_THRESHOLD * total:
+    if leak > 0 and leak > LEAK_WARN_THRESHOLD * s.norm() ** 2:
         warnings.warn(f"boost pushed {leak:.3e} of squared norm off the lattice",
                       RuntimeWarning, stacklevel=2)
     return _state(s.grid, amps, leaked_norm=leak)
@@ -231,7 +256,8 @@ def apply_u_lambda_inf(s: DoubletState, epsilon: int = 1) -> DoubletState:
     so the swap intertwines boosts for either choice.
     """
     _check_epsilon(epsilon)
-    return _state(s.grid, epsilon * s.amps[::-1])
+    swapped = s.amps[::-1]
+    return _state(s.grid, swapped if epsilon == 1 else -swapped)
 
 
 def apply_u_minus_i(s: DoubletState) -> DoubletState:
@@ -288,8 +314,7 @@ def check_covariance(s: DoubletState, g: AxialElement, discrete: str = "lambda-i
     """
     if discrete == "lambda-inf":
         swap = apply_u_lambda_inf
-        flip = group.coordinate_swap(s.grid.theta, s.grid.phi)
-        a_conj = flip @ g.translation
+        a_conj = s.grid._coordinate_swap @ g.translation
     elif discrete == "minus-i":
         swap = apply_u_minus_i
         a_conj = -g.translation

@@ -4,8 +4,9 @@ import math
 import tracemalloc
 
 import numpy as np
+import pytest
 
-from extpoincare import checks
+from extpoincare import checks, doublet
 
 
 def _traced_peak(fn, *args) -> int:
@@ -26,6 +27,28 @@ def test_complex_draw_matches_the_sum_of_two_normal_draws_bit_for_bit():
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert rng.standard_normal() == twin.standard_normal()
+
+
+@pytest.mark.parametrize("interior", [0, 1, 3])
+def test_random_doublet_draws_the_bits_of_two_complex_normal_draws(interior):
+    grid = doublet.FrequencyGrid(1.0, 1.25, 9)
+    rng, twin = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(3):
+        got = checks._random_doublet(rng, grid, interior).amps
+        want = np.array([checks._complex_normal(twin, 9), checks._complex_normal(twin, 9)])
+        if interior:
+            want[:, :interior] = 0.0
+            want[:, 9 - interior:] = 0.0
+        want = want / np.linalg.norm(want)
+        assert got.shape == want.shape and not got.flags.writeable
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert rng.standard_normal() == twin.standard_normal()
+
+
+def test_rep_checks_hold_about_27_grid_vectors():
+    # 26.6 complex N-vectors (1.75 MB) traced at N = 4096, for any number of trials
+    n = 4096
+    assert _traced_peak(checks.rep_checks, n, 1, 3, 0) <= 28 * 16 * n
 
 
 def test_bell_checks_keep_at_most_three_dense_matrices():

@@ -78,10 +78,12 @@ def test_grid_frequencies_stay_finite_when_only_the_ratio_power_overflows():
 
 
 def test_grid_frequencies_are_computed_once_and_read_only():
-    grid = FrequencyGrid(1.0, 1.25, 8)
+    grid = FrequencyGrid(1.0, 1.25, 8, theta=0.8, phi=2.1)
     assert grid.omegas() is grid.omegas()
     assert grid.direction() is grid.direction()
-    for cached in (grid.omegas(), grid.direction()):
+    assert grid._coordinate_swap is grid._coordinate_swap
+    assert np.array_equal(grid._coordinate_swap, group.coordinate_swap(0.8, 2.1))
+    for cached in (grid.omegas(), grid.direction(), grid._coordinate_swap):
         with pytest.raises(ValueError, match="read-only"):
             cached[0] = 0.0
 
@@ -125,6 +127,31 @@ def test_translation_single_point_phase():
     assert out.psi_bwd[0] == pytest.approx(-1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("n, theta, phi", [(16, 0.0, 0.0), (16, 0.8, 2.1), (4096, 0.0, 0.0),
+                                            (4096, 0.8, 2.1)])
+def test_translation_has_the_bits_of_the_complex_exponential(n, theta, phi):
+    # the rep_checks lattice: its top frequency is checks.OMEGA_TOP
+    ratio = min(1.25, checks.OMEGA_TOP ** (1.0 / (n - 1)))
+    grid = FrequencyGrid(1.0, ratio, n, theta=theta, phi=phi)
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        s = checks._random_doublet(rng, grid)
+        a = rng.uniform(-3, 3, 4)
+        x = grid.omegas() * (a[0] - grid.direction() @ a[1:])
+        phases = np.exp(1j * x)
+        want = s.amps * np.array([phases, np.conj(phases)])
+        got = apply_translation(s, a).amps
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("a", [np.zeros(3), np.zeros(5), np.zeros((2, 4)), 0.0,
+                               [math.nan, 0, 0, 0], [0, 0, math.inf, 0], [0, 0, 0, -math.inf]])
+def test_translation_rejects_anything_but_a_finite_4_vector(a):
+    s = checks._random_doublet(np.random.default_rng(0), GRID)
+    with pytest.raises(ValueError, match="translation a must be a finite 4-vector"):
+        apply_translation(s, a)
+
+
 def test_translations_compose():
     rng = np.random.default_rng(1)
     for _ in range(100):
@@ -157,9 +184,19 @@ def test_rotation_trivial_for_zero_helicity():
 def test_boost_zero_is_identity():
     rng = np.random.default_rng(4)
     s = checks._random_doublet(rng, GRID)
-    out = apply_axial_boost(s, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = apply_axial_boost(s, 0.0)
     assert np.array_equal(out.psi_fwd, s.psi_fwd)
     assert np.array_equal(out.psi_bwd, s.psi_bwd)
+    assert out.leaked_norm == 0.0
+
+
+@pytest.mark.parametrize("rapidity", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
+def test_boost_rejects_a_non_finite_rapidity(rapidity):
+    s = checks._random_doublet(np.random.default_rng(4), GRID)
+    with pytest.raises(ValueError, match="rapidity must be finite"):
+        apply_axial_boost(s, rapidity)
 
 
 def test_boost_shifts_both_sectors_up_one_index():
@@ -217,6 +254,14 @@ def test_sector_swap_carries_epsilon():
         assert np.array_equal(out.psi_bwd, eps * s.psi_fwd)
 
 
+def test_norm_of_a_nan_state_is_nan():
+    f = np.ones(4, complex)
+    f[2] = math.nan
+    s = DoubletState(FrequencyGrid(1.0, 2.0, 4), f, np.ones(4))
+    assert math.isnan(s.norm())
+    assert DoubletState(FrequencyGrid(1.0, 2.0, 4), [3, 0, 0, 0], [4j, 0, 0, 0]).norm() == 5.0
+
+
 def test_sector_swap_rejects_epsilon_other_than_plus_minus_one():
     s = checks._random_doublet(np.random.default_rng(9), GRID)
     for eps in (0, 2, -2, 0.5, -1.5):
@@ -238,7 +283,8 @@ def test_amplitudes_are_one_read_only_array_that_does_not_alias_the_inputs():
         with pytest.raises(ValueError, match="read-only"):
             view[0] = 1.0
     for out in (apply_translation(s, [0.1, 0.2, 0.3, 0.4]), apply_axial_rotation(s, 0.3),
-                apply_axial_boost(s, 0.0), apply_u_lambda_inf(s), apply_u_minus_i(s)):
+                apply_axial_boost(s, 0.0), apply_u_lambda_inf(s), apply_u_lambda_inf(s, -1),
+                apply_u_minus_i(s)):
         assert not out.amps.flags.writeable
 
 
