@@ -46,6 +46,18 @@ def _element_gap(g: group.ExtPoincareElement, h: group.ExtPoincareElement) -> fl
     return _dist([_dist(g.linear, h.linear), _dist(g.translation, h.translation)])
 
 
+def _relative_gap(g: group.ExtPoincareElement, h: group.ExtPoincareElement) -> float:
+    """Worst per-sample entrywise |g - h|, both parts, over 1 + that sample's largest |g| entry.
+
+    Rounding in a product grows with its entries: a correct product with an
+    entry near 1e4 misses an absolute 1e-12 by about one ulp of that entry.
+    """
+    def largest(linear, translation):
+        return np.maximum(np.abs(linear).max(axis=(-2, -1)), np.abs(translation).max(axis=-1))
+    return _dist(largest(g.linear - h.linear, g.translation - h.translation)
+                 / (1.0 + largest(g.linear, g.translation)))
+
+
 # group_checks draws and evaluates its sampled invariants in blocks of this
 # many samples, about 12 MB of stacked arrays (2.9 kB per sample under
 # tracemalloc), so the peak is the same for any --samples.  Up to one block
@@ -112,7 +124,8 @@ def _group_block(rng: np.random.Generator, convention: str, samples: int) -> lis
     g1, g2, g3 = elements(2.0), elements(2.0), elements(2.0)
     left = group.poincare_mul(group.poincare_mul(g1, g2), g3)
     right = group.poincare_mul(g1, group.poincare_mul(g2, g3))
-    results.append(_result("product associativity", _element_gap(left, right), 1e-12))
+    results.append(_result("product associativity", _relative_gap(left, right), 1e-12,
+                           note="deviation relative to 1 + the product's largest entry"))
     gi = group.poincare_mul(g1, group.poincare_inverse(g1))
     results.append(_result("two-sided inverses", _element_gap(gi, group.poincare_identity()),
                            1e-12))

@@ -5,13 +5,14 @@ Commands
     orbit         images of a momentum under the four discrete elements
     rep-check     doublet representation invariants
     bell-check    two-qubit dictionary invariants
-    experiment    run | sweep: Monte Carlo tallies as CSV plus a JSON manifest;
-                  --config also takes a manifest, refused unless it was
-                  written under the current stream version
+    experiment    run | sweep: Monte Carlo tallies as CSV plus a JSON manifest
+                  with the cosine fit; --config also takes a manifest, refused
+                  unless it was written under the current stream version
 
 Exit status: 2 for input errors (a size too large to allocate among them), 1
-when an asserted invariant fails, 0 otherwise.  Physics outcomes (signs,
-magnitudes, discarded trials) never change the exit status.
+when an asserted invariant fails, 141 when the reader closes standard output
+early (as a shell reports SIGPIPE), 0 otherwise.  Physics outcomes (signs,
+magnitudes, discarded trials, a fit far from its prediction) never change it.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import re
 import sys
 
@@ -27,7 +29,9 @@ import numpy as np
 
 from . import __version__, checks, experiment, group
 
-CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(experiment.ExperimentConfig))
+CONFIG_FIELDS = dataclasses.fields(experiment.ExperimentConfig)
+CONFIG_KEYS = tuple(f.name for f in CONFIG_FIELDS)
+EXIT_CLOSED_STDOUT = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,9 +74,7 @@ def _emit_report(args, results, extra=None) -> int:
         for line in _report_lines(results):
             print(line)
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        experiment.write_json(doc, args.out)
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -121,9 +123,7 @@ def _cmd_orbit(args) -> int:
         if all(cls is group.OrbitClass.ZERO for _, _, cls in rows):
             print("warning: zero momentum, every image is the zero class", file=sys.stderr)
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        experiment.write_json(doc, args.out)
     return 0
 
 
@@ -175,21 +175,6 @@ def _build_config(args) -> experiment.ExperimentConfig:
     return experiment.ExperimentConfig(**values)
 
 
-def _emit_experiment(args, rows, command: str, config) -> int:
-    if args.out:
-        experiment.write_sweep_csv(rows, args.out)
-        manifest = experiment.run_manifest(command, config, args.workers, __version__)
-        experiment.write_manifest(manifest, args.out + ".manifest.json")
-        print(f"wrote {args.out} and {args.out}.manifest.json")
-    else:
-        print(experiment.sweep_csv_text(rows), end="")
-    for row in rows:
-        if row.e_xx is None:
-            print(f"note: phi={row.phi:.6g}: all {row.tally.discarded} trials discarded, "
-                  "no correlation estimate", file=sys.stderr)
-    return 0
-
-
 def _cmd_experiment(args) -> int:
     try:
         if args.workers < 1:
@@ -208,13 +193,28 @@ def _cmd_experiment(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     if args.subcommand == "run":
-        rows = experiment.sweep_phase([config.phi], config)
-        command = "experiment run"
+        phis = [config.phi]
     else:
         phis = np.linspace(args.start, args.stop, args.points)
-        rows = experiment.sweep_phase(phis, config)
-        command = "experiment sweep"
-    return _emit_experiment(args, rows, command, config)
+    rows = experiment.sweep_phase(phis, config)
+    manifest = experiment.run_manifest(f"experiment {args.subcommand}", config, rows,
+                                       args.workers, __version__)
+    if args.out:
+        experiment.write_sweep_csv(rows, args.out)
+        experiment.write_manifest(manifest, args.out + ".manifest.json")
+        print(f"wrote {args.out} and {args.out}.manifest.json")
+    else:
+        print(experiment.sweep_csv_text(rows), end="")
+    for row in rows:
+        if row.e_xx is None:
+            print(f"note: phi={row.phi:.6g}: all {row.tally.discarded} trials discarded, "
+                  "no correlation estimate", file=sys.stderr)
+    fit = manifest["cosine_fit"]
+    if fit["z"] is not None and abs(fit["z"]) > 4:
+        print(f"note: fitted cosine amplitude {fit['amplitude']:+.5f} +- {fit['stderr']:.5f} "
+              f"is {fit['z']:+.1f} stderr from the prediction {fit['prediction']:+.5f}",
+              file=sys.stderr)
+    return 0
 
 
 def _add_report_flags(p) -> None:
@@ -265,13 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("run", "sweep"):
         ep = esub.add_parser(name)
         ep.add_argument("--config", default=None, help="JSON config file; flags win")
-        ep.add_argument("--phi", type=float, default=None)
-        ep.add_argument("--visibility", type=float, default=None)
-        ep.add_argument("--eta", type=float, default=None)
-        ep.add_argument("--dark", type=float, default=None)
-        ep.add_argument("--sigma", type=float, default=None)
-        ep.add_argument("--trials", type=int, default=None)
-        ep.add_argument("--seed", type=int, default=None)
+        for f in CONFIG_FIELDS:
+            ep.add_argument(f"--{f.name}", type=type(f.default), default=None)
         ep.add_argument("--workers", type=int, default=1,
                         help="recorded in the manifest; each point is one draw, "
                              "so the count changes no work and no result")
@@ -286,13 +281,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (ValueError, MemoryError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        try:
+            args = build_parser().parse_args(argv)
+            return args.func(args)
+        except (ValueError, MemoryError) as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 2
+        finally:  # also after --help: a closed pipe fails here, not at interpreter shutdown
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull so that
+        # shutdown's own flush stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
 
 
 if __name__ == "__main__":

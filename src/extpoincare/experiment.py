@@ -238,10 +238,11 @@ def sweep_phase(phis: Sequence[float], config: ExperimentConfig) -> list[SweepRo
     return rows
 
 
-def fit_cosine(rows: Iterable[SweepRow]) -> tuple[float, float]:
+def fit_cosine(rows: Iterable[SweepRow]) -> tuple[float | None, float | None]:
     """Least-squares amplitude A of e_xx = A cos(phi) and its standard error.
 
-    Rows without an estimate (every trial discarded) are left out.
+    Rows without an estimate (every trial discarded) are left out.  Both are
+    None when no estimated row has cos(phi) != 0.
     """
     fitted = [r for r in rows if r.e_xx is not None]
     c = np.array([np.cos(r.phi) for r in fitted])
@@ -249,8 +250,39 @@ def fit_cosine(rows: Iterable[SweepRow]) -> tuple[float, float]:
     var = np.array([r.stderr ** 2 for r in fitted])
     denom = float(c @ c)
     if denom == 0.0:
-        raise ValueError("cosine fit needs an estimated row with cos(phi) != 0")
+        return None, None
     return float(c @ e) / denom, float(np.sqrt(c ** 2 @ var)) / denom
+
+
+def cosine_fit(rows: Sequence[SweepRow], config: ExperimentConfig) -> dict:
+    """The sweep's cosine fit against the prediction, and the sign of e_xx at 0 against pi.
+
+    E(phi) is exactly A cos(phi) with A the kept-trial correlation at phi = 0,
+    dark-count dilution included, because the lone-click total does not
+    depend on phi.  So ``fit_cosine``'s amplitude is compared with that A,
+    z = (amplitude - prediction) / stderr.  The sign test reads the first rows
+    whose phases lie within 1e-12 of 0 and of pi.  Each value is None when it
+    is undefined: no estimated row with cos(phi) != 0, a stderr of 0, no such
+    row, or that row all discarded.
+    """
+    amplitude, stderr = fit_cosine(rows)
+    prediction = _expected(replace(config, phi=0.0))
+    z = None
+    if stderr and prediction is not None:  # stderr is None without a fit
+        z = (amplitude - prediction) / stderr
+    at_0, at_pi = (next((row for row in rows if abs(row.phi - phi) <= 1e-12), None)
+                   for phi in (0.0, math.pi))
+    e_0, e_pi = (None if row is None else row.e_xx for row in (at_0, at_pi))
+    return {
+        "amplitude": amplitude,
+        "stderr": stderr,
+        "prediction": prediction,
+        "z": z,
+        "e_xx_at_0": e_0,
+        "phi_at_pi": None if at_pi is None else at_pi.phi,
+        "e_xx_at_pi": e_pi,
+        "signs_differ": None if e_0 is None or e_pi is None else e_0 * e_pi < 0,
+    }
 
 
 def sweep_csv_text(rows: Iterable[SweepRow]) -> str:
@@ -275,11 +307,12 @@ def write_sweep_csv(rows: Iterable[SweepRow], path) -> None:
         fh.write(sweep_csv_text(rows))
 
 
-def run_manifest(command: str, config: ExperimentConfig, workers: int,
-                 version: str) -> dict:
+def run_manifest(command: str, config: ExperimentConfig, rows: Sequence[SweepRow],
+                 workers: int, version: str) -> dict:
     """Audit record accompanying every output file; rerunning it reproduces the CSV.
 
-    ``workers`` is recorded as given; it does not change the draw.
+    ``workers`` is recorded as given; it does not change the draw.  The
+    ``cosine_fit`` entry judges the rows against the prediction.
     """
     return {
         "command": command,
@@ -289,10 +322,16 @@ def run_manifest(command: str, config: ExperimentConfig, workers: int,
         "stream_rule": STREAM_RULE,
         "version": version,
         "timestamp": datetime.now(timezone.utc).isoformat(),
+        "cosine_fit": cosine_fit(rows, config),
     }
 
 
-def write_manifest(manifest: dict, path) -> None:
+def write_json(doc: dict, path) -> None:
+    """Write ``doc`` as JSON indented by 2 with a trailing newline: every JSON file the CLI writes."""
     with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2)
+        json.dump(doc, fh, indent=2)
         fh.write("\n")
+
+
+# the run manifest's writer; bench/tracer.py times manifest writes under this name
+write_manifest = write_json

@@ -79,3 +79,12 @@ def test_block_fold_adds_counts_and_keeps_a_nan_deviation():
     for folded in (checks._fold(nan, fine), checks._fold(fine, nan)):
         assert math.isnan(folded.max_deviation) and not folded.passed
     assert checks._fold(fine, fine).passed
+
+
+# each failed the associativity row under an absolute measure: a correct
+# product with entries up to 1e4 missed 1e-12 by about one ulp of its largest entry
+@pytest.mark.parametrize("seed", [463, 1352, 1406201168, 1497811366])
+def test_product_associativity_is_measured_relative_to_the_product(seed):
+    row = {r.name: r for r in checks.group_checks(seed=seed)}["product associativity"]
+    assert row.passed, row
+    assert row.note == "deviation relative to 1 + the product's largest entry"
