@@ -391,9 +391,18 @@ def bell_checks(grid_size: int = 8, trials: int = 100, seed: int = 0) -> list[Ch
         devs += [gap, abs(lhs - eps), abs(rhs - eps)]
     results.append(_result("swap eigenstates give correlation +-1", _dist(devs), 1e-12))
 
-    product = qubit.TwoQubitState(np.array([1.0, 0, 0, 0], dtype=complex))
-    bell = qubit.TwoQubitState(np.array([1.0, 0, 0, 1.0], dtype=complex) / math.sqrt(2))
-    dev = _dist([qubit.entanglement_entropy(product), qubit.entanglement_entropy(bell)],
-                [0.0, math.log(2.0)])
+    # one-point doublets through the dictionary: the swap eigenstates are
+    # maximally entangled, the forward-only state is a product, and any (f, b)
+    # has the binary entropy of |f|^2; the four draws come after every other row's
+    point = doublet.FrequencyGrid(1.0, 1.25, 1)
+    cases = [(doublet.make_epsilon_eigenstate(point, [1.0], eps), math.log(2.0))
+             for eps in (1, -1)]
+    cases.append((doublet.DoubletState(point, [1.0], [0.0]), 0.0))
+    for _ in range(4):
+        s = _random_doublet(rng, point)
+        p_fwd, p_bwd = np.abs(s.amps[:, 0]) ** 2
+        cases.append((s, -p_fwd * math.log(p_fwd) - p_bwd * math.log(p_bwd)))
+    dev = _dist([qubit.entanglement_entropy(qubit.doublet_to_path_polarization(s))
+                 for s, _ in cases], [entropy for _, entropy in cases])
     results.append(_result("entanglement entropy hits 0 and ln 2 at the extremes", dev, 1e-12))
     return results

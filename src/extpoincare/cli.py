@@ -9,10 +9,12 @@ Commands
                   with the cosine fit; --config also takes a manifest, refused
                   unless it was written under the current stream version
 
-Exit status: 2 for input errors (a size too large to allocate among them), 1
-when an asserted invariant fails, 141 when the reader closes standard output
-early (as a shell reports SIGPIPE), 0 otherwise.  Physics outcomes (signs,
-magnitudes, discarded trials, a fit far from its prediction) never change it.
+Exit status, set in ``main`` alone: 0; 1 for a FAIL row (an asserted invariant
+fails); 2 for input errors, printed as one ``error:`` line (a size too large to
+allocate, an unreadable --config and an unwritable or empty --out included);
+141 for a closed standard output (as a shell reports SIGPIPE), --help included.
+Physics outcomes (signs, magnitudes, discarded trials, a fit far from its
+prediction) never change it.
 """
 
 from __future__ import annotations
@@ -47,6 +49,12 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(
             r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
 
+    def _print_message(self, message, file=None):
+        # argparse's own version drops an OSError from this write, so --help into
+        # a closed pipe would exit 0 when unbuffered; let main map it to 141
+        if message:
+            (file or sys.stderr).write(message)
+
 
 def _report_lines(results) -> list[str]:
     lines = []
@@ -59,42 +67,33 @@ def _report_lines(results) -> list[str]:
     return lines
 
 
-def _emit_report(args, results, extra=None) -> int:
-    doc = {
-        "command": args.command,
-        "seed": args.seed,
-        "checks": [dataclasses.asdict(r) for r in results],
-        "version": __version__,
-    }
-    if extra:
-        doc.update(extra)
-    if args.format == "json":
-        print(json.dumps(doc, indent=2))
-    else:
-        for line in _report_lines(results):
-            print(line)
-    if args.out:
+def _emit(args, doc: dict, lines: list[str]) -> None:
+    """Write ``doc`` to --out, then print it as JSON or as ``lines``; a failed write prints none."""
+    if args.out is not None:
         experiment.write_json(doc, args.out)
+    print(json.dumps(doc, indent=2) if args.format == "json" else "\n".join(lines))
+
+
+def _check_report(args, results, extra: dict, lines: list[str]) -> int:
+    _emit(args, {"command": args.command, "seed": args.seed,
+                 "checks": [dataclasses.asdict(r) for r in results],
+                 "version": __version__, **extra}, lines)
     return 0 if all(r.passed for r in results) else 1
 
 
 def _cmd_group_check(args) -> int:
     results = checks.group_checks(args.convention, args.samples, args.seed)
     table = checks.ad_eta_table(args.convention, seed=args.seed)
-    if args.format != "json":
-        print(f"convention: {args.convention}")
-    code = _emit_report(args, results, extra={
+    lines = [f"convention: {args.convention}", *_report_lines(results),
+             "informational: eta deviation of conjugated generators "
+             "(closure in the identity component is not asserted)"]
+    lines += [f"  {row['generator']:<15} parameter {row['parameter']:+.3f}  "
+              f"eta deviation {row['eta_deviation']:.3e}" for row in table]
+    return _check_report(args, results, {
         "convention": args.convention,
         "samples": args.samples,
         "conjugated_generator_eta_deviations": table,
-    })
-    if args.format != "json":
-        print("informational: eta deviation of conjugated generators "
-              "(closure in the identity component is not asserted)")
-        for row in table:
-            print(f"  {row['generator']:<15} parameter {row['parameter']:+.3f}  "
-                  f"eta deviation {row['eta_deviation']:.3e}")
-    return code
+    }, lines)
 
 
 def _cmd_orbit(args) -> int:
@@ -113,35 +112,31 @@ def _cmd_orbit(args) -> int:
         "orbit": [{"z": tag, "image": [float(x) for x in image], "class": cls.value}
                   for tag, image, cls in rows],
     }
-    if args.format == "json":
-        print(json.dumps(doc, indent=2))
-    else:
-        print(f"{'z':<14}{'image':<44}class")
-        for tag, image, cls in rows:
-            image_txt = "(" + ", ".join(f"{x:+.6g}" for x in image) + ")"
-            print(f"{tag:<14}{image_txt:<44}{cls.value}")
-        if all(cls is group.OrbitClass.ZERO for _, _, cls in rows):
-            print("warning: zero momentum, every image is the zero class", file=sys.stderr)
-    if args.out:
-        experiment.write_json(doc, args.out)
+    lines = [f"{'z':<14}{'image':<44}class"]
+    for tag, image, cls in rows:
+        image_txt = "(" + ", ".join(f"{x:+.6g}" for x in image) + ")"
+        lines.append(f"{tag:<14}{image_txt:<44}{cls.value}")
+    _emit(args, doc, lines)
+    if args.format != "json" and all(cls is group.OrbitClass.ZERO for _, _, cls in rows):
+        print("warning: zero momentum, every image is the zero class", file=sys.stderr)
     return 0
 
 
 def _cmd_rep_check(args) -> int:
     results = checks.rep_checks(args.grid_size, args.helicity, args.trials, args.seed)
-    return _emit_report(args, results, extra={
+    return _check_report(args, results, {
         "grid_size": args.grid_size,
         "helicity": args.helicity,
         "trials": args.trials,
-    })
+    }, _report_lines(results))
 
 
 def _cmd_bell_check(args) -> int:
     results = checks.bell_checks(args.grid_size, args.trials, args.seed)
-    return _emit_report(args, results, extra={
+    return _check_report(args, results, {
         "grid_size": args.grid_size,
         "trials": args.trials,
-    })
+    }, _report_lines(results))
 
 
 def _load_config_file(path) -> dict:
@@ -176,22 +171,18 @@ def _build_config(args) -> experiment.ExperimentConfig:
 
 
 def _cmd_experiment(args) -> int:
-    try:
-        if args.workers < 1:
-            raise ValueError(f"workers must be positive, got {args.workers}")
-        if args.subcommand == "sweep":
-            if args.points < 1:
-                raise ValueError(f"points must be at least 1, got {args.points}")
-            for name in ("start", "stop"):
-                if not math.isfinite(getattr(args, name)):
-                    raise ValueError(f"{name} must be finite, got {getattr(args, name)!r}")
-            if not math.isfinite(args.stop - args.start):
-                raise ValueError(f"stop - start overflows, got start {args.start!r} "
-                                 f"and stop {args.stop!r}")
-        config = _build_config(args)
-    except (ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    if args.workers < 1:
+        raise ValueError(f"workers must be positive, got {args.workers}")
+    if args.subcommand == "sweep":
+        if args.points < 1:
+            raise ValueError(f"points must be at least 1, got {args.points}")
+        for name in ("start", "stop"):
+            if not math.isfinite(getattr(args, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(args, name)!r}")
+        if not math.isfinite(args.stop - args.start):
+            raise ValueError(f"stop - start overflows, got start {args.start!r} "
+                             f"and stop {args.stop!r}")
+    config = _build_config(args)
     if args.subcommand == "run":
         phis = [config.phi]
     else:
@@ -199,7 +190,7 @@ def _cmd_experiment(args) -> int:
     rows = experiment.sweep_phase(phis, config)
     manifest = experiment.run_manifest(f"experiment {args.subcommand}", config, rows,
                                        args.workers, __version__)
-    if args.out:
+    if args.out is not None:
         experiment.write_sweep_csv(rows, args.out)
         experiment.write_manifest(manifest, args.out + ".manifest.json")
         print(f"wrote {args.out} and {args.out}.manifest.json")
@@ -285,7 +276,9 @@ def main(argv=None) -> int:
         try:
             args = build_parser().parse_args(argv)
             return args.func(args)
-        except (ValueError, MemoryError) as err:
+        except BrokenPipeError:  # an OSError, but the reader's doing: 141 below
+            raise
+        except (ValueError, OSError, MemoryError) as err:
             print(f"error: {err}", file=sys.stderr)
             return 2
         finally:  # also after --help: a closed pipe fails here, not at interpreter shutdown

@@ -219,6 +219,10 @@ PLANTED_DEFECTS = [
                  id="eigenstate-of-the-other-eigenvalue"),
     pytest.param("bell", BELL_CHECK_ROWS[5][0], qubit, "entanglement_entropy",
                  lambda orig: lambda t: orig(t) / math.log(2.0), id="entropy-in-bits"),
+    # a product state f|+H> + b|+V>: the row must read the dictionary, not only the SVD
+    pytest.param("bell", BELL_CHECK_ROWS[5][0], qubit, "doublet_to_path_polarization",
+                 lambda orig: lambda s: qubit.TwoQubitState([*s.amps[:, 0], 0.0, 0.0]),
+                 id="dictionary-sends-b-to-plus-v"),
     pytest.param("momentum", GROUP_CHECK_ROWS[0][0], group, "coordinate_swap",
                  _swap_with_the_first_samples_projector, id="stacked-swap-one-projector"),
     pytest.param("momentum", GROUP_CHECK_ROWS[0][0], group, "make_lambda_inf",

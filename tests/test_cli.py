@@ -138,10 +138,34 @@ def test_a_closed_stdout_ends_the_run_quietly(unbuffered):
 
 
 def test_help_into_a_closed_stdout_ends_quietly():
-    # argparse itself drops an unbuffered write error; a buffered one fails at main's flush
-    for unbuffered, status in (("", cli.EXIT_CLOSED_STDOUT), ("1", 0)):
+    # argparse's own _print_message would drop the unbuffered write error and exit 0
+    for unbuffered in ("", "1"):
         proc = _run_with_stdout_closed(["experiment", "sweep", "--help"], unbuffered)
-        assert (proc.returncode, proc.stderr) == (status, b"")
+        assert (proc.returncode, proc.stderr) == (cli.EXIT_CLOSED_STDOUT, b"")
+
+
+OUT_COMMANDS = {
+    "group-check": ["group-check", "--samples", "1"],
+    "rep-check": ["rep-check", "--trials", "1"],
+    "bell-check": ["bell-check", "--trials", "1"],
+    "orbit": ["orbit", "1", "0", "0", "1"],
+    "experiment-run": ["experiment", "run", "--trials", "100"],
+    "experiment-sweep": ["experiment", "sweep", "--trials", "100", "--points", "3"],
+}
+
+
+@pytest.mark.parametrize("out", ["missing/report", "directory", ""],
+                         ids=["missing-directory", "existing-directory", "empty"])
+@pytest.mark.parametrize("argv", OUT_COMMANDS.values(), ids=OUT_COMMANDS.keys())
+def test_an_unwritable_out_is_an_input_error(argv, out, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "directory").mkdir()
+    assert run_cli([*argv, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert repr(out) in captured.err and "Traceback" not in captured.err
+    assert [p.name for p in tmp_path.rglob("*")] == ["directory"]
 
 
 def test_rep_check_passes(capsys):
