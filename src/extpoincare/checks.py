@@ -69,6 +69,11 @@ ORBIT_CLASS_ROW = "orbit class invariant under the identity component"
 TIMELIKE_MERGE_ROW = "timelike orbit merges with both massive classes and tachyonic"
 COUNT_ROWS = (ORBIT_CLASS_ROW, TIMELIKE_MERGE_ROW)
 
+# The orbit-class row counts only samples with |eta(p,p)| above this times
+# max(|p|^2, |Lambda p|^2): the lightlike band scales with the Euclidean norm,
+# which a boost changes.  Fixed at import, so a wider band still fails the row.
+ORBIT_CLEAR = 2 * group.LIGHTLIKE_BAND
+
 
 def group_checks(convention: str = "momentum", samples: int = 100,
                  seed: int = 0) -> list[CheckResult]:
@@ -130,7 +135,7 @@ def _group_block(rng: np.random.Generator, convention: str, samples: int) -> lis
     results.append(_result("two-sided inverses", _element_gap(gi, group.poincare_identity()),
                            1e-12))
 
-    zs = np.stack(group.z_set(0.3, 1.1, convention))[:, None]
+    zs = group.z_set(0.3, 1.1, convention)[:, None]
     n = elements()
     try:
         gap = _element_gap(group.alpha_z(zs, group.alpha_z(zs, n)), n)
@@ -140,7 +145,10 @@ def _group_block(rng: np.random.Generator, convention: str, samples: int) -> lis
 
     p = rng.uniform(-2, 2, (samples, 4))
     lam = group.random_proper_orthochronous(rng, size=samples)
-    bad = np.count_nonzero(group.classify_orbit(group.act(lam, p)) != group.classify_orbit(p))
+    moved = group.act(lam, p)
+    clear = (np.abs(group.minkowski(p, p))
+             > ORBIT_CLEAR * np.maximum(np.sum(p * p, axis=-1), np.sum(moved * moved, axis=-1)))
+    bad = np.count_nonzero(clear & (group.classify_orbit(moved) != group.classify_orbit(p)))
     results.append(_result(ORBIT_CLASS_ROW, float(bad), 0.0))
 
     th, ph = angles()
@@ -166,34 +174,24 @@ def _group_block(rng: np.random.Generator, convention: str, samples: int) -> lis
     return results
 
 
-def ad_eta_table(convention: str = "momentum", samples: int = 12,
-                 seed: int = 0) -> list[dict]:
+def ad_eta_table(convention: str = "momentum", seed: int = 0) -> list[dict]:
     """eta-deviation of conjugated generators; informational, never a failure.
 
     Axial generators conjugate to genuine Lorentz matrices; rotations and
     boosts in planes containing the involution direction generally do not.
     """
     rng = _rng(seed)
-    th, ph = 0.0, 0.0
-    li = group.make_lambda_inf(th, ph, convention)
-    n_hat = group.direction_unit(th, ph)
+    li = group.make_lambda_inf(0.0, 0.0, convention)
+    n_hat, x_hat = group.direction_unit(0.0, 0.0), [1.0, 0, 0]
+    generators = (("axial-boost", group.boost_matrix, n_hat),
+                  ("axial-rotation", group.rotation_matrix, n_hat),
+                  ("x-rotation", group.rotation_matrix, x_hat),
+                  ("x-boost", group.boost_matrix, x_hat))
     rows = []
-    for i in range(samples):
-        kind = ("axial-boost", "axial-rotation", "x-rotation", "x-boost")[i % 4]
+    for kind, matrix, axis in 3 * generators:  # three draws of each, in turn
         param = float(rng.uniform(-1.5, 1.5))
-        if kind == "axial-boost":
-            h = group.boost_matrix(n_hat, param)
-        elif kind == "axial-rotation":
-            h = group.rotation_matrix(n_hat, param)
-        elif kind == "x-rotation":
-            h = group.rotation_matrix([1.0, 0, 0], param)
-        else:
-            h = group.boost_matrix([1.0, 0, 0], param)
-        rows.append({
-            "generator": kind,
-            "parameter": param,
-            "eta_deviation": group.eta_deviation(li @ h @ li),
-        })
+        rows.append({"generator": kind, "parameter": param,
+                     "eta_deviation": group.eta_deviation(li @ matrix(axis, param) @ li)})
     return rows
 
 

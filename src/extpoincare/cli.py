@@ -189,10 +189,14 @@ def _cmd_experiment(args) -> int:
         phis = np.linspace(args.start, args.stop, args.points)
     rows = experiment.sweep_phase(phis, config)
     manifest = experiment.run_manifest(f"experiment {args.subcommand}", config, rows,
-                                       args.workers, __version__)
+                                       args.workers)
     if args.out is not None:
         experiment.write_sweep_csv(rows, args.out)
-        experiment.write_manifest(manifest, args.out + ".manifest.json")
+        try:
+            experiment.write_manifest(manifest, args.out + ".manifest.json")
+        except OSError:  # leave both files or neither
+            os.remove(args.out)
+            raise
         print(f"wrote {args.out} and {args.out}.manifest.json")
     else:
         print(experiment.sweep_csv_text(rows), end="")

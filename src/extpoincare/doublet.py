@@ -67,12 +67,9 @@ class FrequencyGrid:
         if self.helicity != int(self.helicity):
             raise ValueError(f"helicity must be an integer, got {self.helicity}")
 
+    @functools.cached_property
     def omegas(self) -> np.ndarray:
         """The lattice frequencies, computed once per grid; the array is read-only."""
-        return self._omegas
-
-    @functools.cached_property
-    def _omegas(self) -> np.ndarray:
         i = np.arange(self.count)
         with np.errstate(over="ignore"):
             w = self.omega_min * self.ratio ** i
@@ -83,12 +80,9 @@ class FrequencyGrid:
         w.flags.writeable = False
         return w
 
+    @functools.cached_property
     def direction(self) -> np.ndarray:
         """The unit vector n(theta, phi), computed once per grid; the array is read-only."""
-        return self._direction
-
-    @functools.cached_property
-    def _direction(self) -> np.ndarray:
         n = group.direction_unit(self.theta, self.phi)
         n.flags.writeable = False
         return n
@@ -120,13 +114,13 @@ class DoubletState:
     amps: np.ndarray
     leaked_norm: float = 0.0
 
-    def __init__(self, grid: FrequencyGrid, psi_fwd, psi_bwd, leaked_norm: float = 0.0):
+    def __init__(self, grid: FrequencyGrid, psi_fwd, psi_bwd):
         f = np.asarray(psi_fwd, dtype=complex)
         b = np.asarray(psi_bwd, dtype=complex)
         n = grid.count
         if f.shape != (n,) or b.shape != (n,):
             raise ValueError(f"amplitudes must have shape ({n},), got {f.shape} and {b.shape}")
-        _fill(self, grid, np.array([f, b]), leaked_norm)
+        _fill(self, grid, np.array([f, b]), 0.0)
 
     @property
     def psi_fwd(self) -> np.ndarray:
@@ -186,7 +180,7 @@ def apply_translation(s: DoubletState, a) -> DoubletState:
     a = np.asarray(a, dtype=float)
     if a.shape != (4,) or not all(map(math.isfinite, a.tolist())):
         raise ValueError(f"translation a must be a finite 4-vector, got {a!r}")
-    x = s.grid.omegas() * (a[0] - s.grid.direction() @ a[1:])
+    x = s.grid.omegas * (a[0] - s.grid.direction @ a[1:])
     phases = np.empty(s.amps.shape, dtype=complex)
     re, im = phases.real, phases.imag
     np.cos(x, out=re[0])
@@ -295,7 +289,7 @@ def apply_axial(s: DoubletState, g: AxialElement) -> DoubletState:
 
 def axial_product(grid: FrequencyGrid, g1: AxialElement, g2: AxialElement) -> AxialElement:
     """Group law on the axial subgroup: (a1 + h1 a2, chi1+chi2, alpha1+alpha2)."""
-    n = grid.direction()
+    n = grid.direction
     h1 = group.boost_matrix(n, g1.boost) @ group.rotation_matrix(n, g1.rotation)
     return AxialElement(g1.translation + h1 @ g2.translation,
                         g1.boost + g2.boost,

@@ -45,6 +45,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import __version__
+
 # x_dir * x_pol of D1..D4, the sign a lone click at that detector adds to E_XX
 SIGNS = (1, -1, -1, 1)
 
@@ -308,7 +310,7 @@ def write_sweep_csv(rows: Iterable[SweepRow], path) -> None:
 
 
 def run_manifest(command: str, config: ExperimentConfig, rows: Sequence[SweepRow],
-                 workers: int, version: str) -> dict:
+                 workers: int) -> dict:
     """Audit record accompanying every output file; rerunning it reproduces the CSV.
 
     ``workers`` is recorded as given; it does not change the draw.  The
@@ -320,7 +322,7 @@ def run_manifest(command: str, config: ExperimentConfig, rows: Sequence[SweepRow
         "workers": workers,
         "stream_version": STREAM_VERSION,
         "stream_rule": STREAM_RULE,
-        "version": version,
+        "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "cosine_fit": cosine_fit(rows, config),
     }

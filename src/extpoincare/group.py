@@ -92,11 +92,10 @@ def make_lambda_inf(theta=0.0, phi=0.0, convention: str = "momentum") -> np.ndar
     return -s if convention == "momentum" else s
 
 
-def z_set(theta: float = 0.0, phi: float = 0.0,
-          convention: str = "momentum") -> list[np.ndarray]:
-    """The four discrete extension elements {I, -I, lambda_inf, -lambda_inf}, in Z_TAGS order."""
+def z_set(theta: float = 0.0, phi: float = 0.0, convention: str = "momentum") -> np.ndarray:
+    """The elements I, -I, lambda_inf, -lambda_inf as one (4, 4, 4) stack, in Z_TAGS order."""
     li = make_lambda_inf(theta, phi, convention)
-    return [np.eye(4), -np.eye(4), li, -li]
+    return np.stack([ID4, -ID4, li, -li])
 
 
 def boost_matrix(axis, rapidity) -> np.ndarray:
@@ -271,5 +270,5 @@ def z_orbit(p, theta: float = 0.0, phi: float = 0.0,
     image (NaN or infinite input, or overflow) is rejected by classify_orbit.
     """
     p = np.asarray(p, dtype=float)
-    images = np.moveaxis(act(np.stack(z_set(theta, phi, convention)), p[..., None, :]), -2, 0)
+    images = np.moveaxis(act(z_set(theta, phi, convention), p[..., None, :]), -2, 0)
     return list(zip(Z_TAGS, images, classify_orbit(images)))

@@ -247,6 +247,9 @@ PLANTED_DEFECTS = [
     pytest.param("momentum", GROUP_CHECK_ROWS[4][0], group, "classify_orbit",
                  lambda orig: lambda p: orig(np.asarray(p)[..., [3, 1, 2, 0]]),
                  id="orbit-time-read-from-p3"),
+    # the row excuses only samples within twice the band fixed at import
+    pytest.param("momentum", GROUP_CHECK_ROWS[4][0], group, "LIGHTLIKE_BAND",
+                 lambda orig: 1e-3, id="band-widened"),
     pytest.param("momentum", GROUP_CHECK_ROWS[5][0], group, "minkowski",
                  lambda orig: lambda u, v: np.sum(np.multiply(u, v), axis=-1),
                  id="euclidean-pairing"),

@@ -88,3 +88,13 @@ def test_product_associativity_is_measured_relative_to_the_product(seed):
     row = {r.name: r for r in checks.group_checks(seed=seed)}["product associativity"]
     assert row.passed, row
     assert row.note == "deviation relative to 1 + the product's largest entry"
+
+
+# each failed the orbit-class row on a correct program: one sample lay inside
+# classify_orbit's Euclidean-relative band in the boosted frame only
+# (1121639274 is the group seed of a default benchmark pass)
+@pytest.mark.parametrize("convention", ["momentum", "coordinate"])
+@pytest.mark.parametrize("seed", [5238, 10716, 15445, 1121639274])
+def test_orbit_class_row_skips_samples_inside_the_band_in_either_frame(seed, convention):
+    row = {r.name: r for r in checks.group_checks(convention, seed=seed)}[checks.ORBIT_CLASS_ROW]
+    assert row.passed and row.max_deviation == 0.0, row

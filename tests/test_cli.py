@@ -168,6 +168,19 @@ def test_an_unwritable_out_is_an_input_error(argv, out, tmp_path, monkeypatch, c
     assert [p.name for p in tmp_path.rglob("*")] == ["directory"]
 
 
+@pytest.mark.parametrize("argv", [OUT_COMMANDS["experiment-run"],
+                                  OUT_COMMANDS["experiment-sweep"]], ids=["run", "sweep"])
+def test_an_unwritable_manifest_leaves_no_csv(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.csv.manifest.json").mkdir()
+    assert run_cli([*argv, "--out", "x.csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "x.csv.manifest.json" in captured.err
+    assert [p.name for p in tmp_path.rglob("*")] == ["x.csv.manifest.json"]
+
+
 def test_rep_check_passes(capsys):
     assert run_cli(["rep-check", "--grid-size", "12", "--trials", "25"]) == 0
     out = capsys.readouterr().out

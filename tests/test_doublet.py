@@ -26,7 +26,7 @@ GRID = FrequencyGrid(1.0, 1.25, 16)
 
 
 def test_grid_is_log_spaced_and_increasing():
-    w = GRID.omegas()
+    w = GRID.omegas
     assert np.all(w > 0)
     assert np.all(np.diff(w) > 0)
     ratios = w[1:] / w[:-1]
@@ -59,9 +59,9 @@ def test_grid_inputs_are_rejected_or_give_finite_output(omega_min, ratio, count,
     except ValueError:
         return
     assert math.isfinite(grid.step()) and grid.step() > 0
-    assert np.all(np.isfinite(grid.direction()))
+    assert np.all(np.isfinite(grid.direction))
     with np.errstate(over="ignore"):
-        w = grid.omegas()
+        w = grid.omegas
     # only a lattice whose omega_min * ratio**i passes the float range
     # (e**709.78) reaches inf
     assert np.all(w > 0) and not np.any(np.isnan(w))
@@ -71,7 +71,7 @@ def test_grid_inputs_are_rejected_or_give_finite_output(omega_min, ratio, count,
 
 def test_grid_frequencies_stay_finite_when_only_the_ratio_power_overflows():
     # 1e10**39 overflows, 1e-300 * 1e10**39 = 1e90 does not
-    w = FrequencyGrid(1e-300, 1e10, 40).omegas()
+    w = FrequencyGrid(1e-300, 1e10, 40).omegas
     assert np.all(np.isfinite(w))
     assert w[-1] == pytest.approx(1e90, rel=1e-12)
     assert np.array_equal(w[:31], 1e-300 * 1e10 ** np.arange(31))
@@ -79,11 +79,11 @@ def test_grid_frequencies_stay_finite_when_only_the_ratio_power_overflows():
 
 def test_grid_frequencies_are_computed_once_and_read_only():
     grid = FrequencyGrid(1.0, 1.25, 8, theta=0.8, phi=2.1)
-    assert grid.omegas() is grid.omegas()
-    assert grid.direction() is grid.direction()
+    assert grid.omegas is grid.omegas
+    assert grid.direction is grid.direction
     assert grid._coordinate_swap is grid._coordinate_swap
     assert np.array_equal(grid._coordinate_swap, group.coordinate_swap(0.8, 2.1))
-    for cached in (grid.omegas(), grid.direction(), grid._coordinate_swap):
+    for cached in (grid.omegas, grid.direction, grid._coordinate_swap):
         with pytest.raises(ValueError, match="read-only"):
             cached[0] = 0.0
 
@@ -137,7 +137,7 @@ def test_translation_has_the_bits_of_the_complex_exponential(n, theta, phi):
     for _ in range(5):
         s = checks._random_doublet(rng, grid)
         a = rng.uniform(-3, 3, 4)
-        x = grid.omegas() * (a[0] - grid.direction() @ a[1:])
+        x = grid.omegas * (a[0] - grid.direction @ a[1:])
         phases = np.exp(1j * x)
         want = s.amps * np.array([phases, np.conj(phases)])
         got = apply_translation(s, a).amps
