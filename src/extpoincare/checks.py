@@ -195,28 +195,71 @@ def ad_eta_table(convention: str = "momentum", seed: int = 0) -> list[dict]:
     return rows
 
 
+def _fill_complex_normal(rng: np.random.Generator, z: np.ndarray) -> None:
+    """z = standard_normal + 1j * standard_normal of z's shape: the same draws and bits."""
+    z.real = rng.standard_normal(z.shape)
+    z.imag = rng.standard_normal(z.shape)
+
+
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """standard_normal + 1j * standard_normal: the same draws and bits, no complex temporary."""
-    z = rng.standard_normal(shape).astype(complex)
-    z.imag = rng.standard_normal(shape)
+    z = np.empty(shape, dtype=complex)
+    _fill_complex_normal(rng, z)
     return z
+
+
+def _doublets(grid: doublet.FrequencyGrid, draws: np.ndarray,
+              interior: int = 0) -> doublet.DoubletState:
+    """Unit doublets from normal draws (..., 2, 2, N), each f.re, f.im, b.re, b.im.
+
+    ``interior`` points at each end are zeroed before each state is scaled by
+    its np.linalg.norm, computed as that function does: a dot of the real
+    parts plus a dot of the imaginary parts.
+    """
+    n = grid.count
+    if 2 * interior >= n:
+        raise ValueError(f"interior padding {interior} leaves no support on {n} points")
+    amps = np.empty(draws.shape[:-3] + (2, n), dtype=complex)
+    amps.real = draws[..., 0, :]
+    amps.imag = draws[..., 1, :]
+    if interior > 0:
+        amps[..., :interior] = 0.0
+        amps[..., n - interior:] = 0.0
+    flat = amps.reshape(amps.shape[:-2] + (-1,))
+    norms = np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
+    amps /= norms[..., None, None]
+    return doublet._state(grid, amps)
 
 
 def _random_doublet(rng: np.random.Generator, grid: doublet.FrequencyGrid,
                     interior: int = 0) -> doublet.DoubletState:
     """A unit doublet drawn as the forward then the backward _complex_normal(rng, N)."""
-    n = grid.count
-    if 2 * interior >= n:
-        raise ValueError(f"interior padding {interior} leaves no support on {n} points")
-    draws = rng.standard_normal((2, 2, n))  # f.re, f.im, b.re, b.im
-    amps = np.empty((2, n), dtype=complex)
-    amps.real = draws[:, 0]
-    amps.imag = draws[:, 1]
-    if interior > 0:
-        amps[:, :interior] = 0.0
-        amps[:, n - interior:] = 0.0
-    amps /= np.linalg.norm(amps)
-    return doublet._state(grid, amps)
+    return _doublets(grid, rng.standard_normal((2, 2, grid.count)), interior)
+
+
+# rep_checks and bell_checks evaluate each row over blocks of trials at once.
+# A block holds at most this many lattice points (trials * N) in rep_checks
+# and matrix entries (trials * N^2) in bell_checks, and at least one trial:
+# one trial from N = 2049 (rep) and N = 46 (bell) on, so their peaks there
+# are those of a single trial.  Each trial draws its quantities in turn, into
+# the block's buffers, so the results do not depend on the block size.
+TRIAL_BLOCK = 4096
+
+
+def _over_blocks(trials: int, per_trial: int, row) -> list[float]:
+    """The deviations row(sizes) yields per block of trials, each worst over the blocks.
+
+    The blocks hold max(1, TRIAL_BLOCK // per_trial) trials, the last one
+    what remains of `trials`.  A row is a generator, so a block's arrays
+    are freed only as the next block's replace them.  Freed all at once at
+    the end of each block, they let malloc hand the top of the heap back to
+    the system, and the next block faults it in again: in a fresh process
+    that cost rep_checks(4096, 1, 20) 10.8k page faults and about 20% of its
+    time.
+    """
+    size = max(1, TRIAL_BLOCK // per_trial)
+    blocks = list(row([min(size, trials - start) for start in range(0, trials, size)]))
+    return [_dist(devs) for devs in zip(*blocks)]
 
 
 # Note for the rep_checks rows that draw boosts: at N <= 4 the padding leaves
@@ -235,8 +278,12 @@ def rep_checks(grid_size: int = 16, helicity: int = 1, trials: int = 100,
     """Doublet invariants on omega_i = ratio**i, ratio = min(1.25, OMEGA_TOP**(1/(N-1))).
 
     Grids up to N = 31 keep ratio 1.25; larger ones are squeezed so the top
-    frequency stays at OMEGA_TOP.  Each trial holds O(N) arrays (about 27
-    complex N-vectors, 1.75 MB traced at N = 4096) and nothing survives it.
+    frequency stays at OMEGA_TOP.  Each row runs over blocks of
+    max(1, TRIAL_BLOCK // N) trials, drawn trial by trial and evaluated as
+    one stack.  A row holds about 15 complex vectors of a block's trials * N
+    lattice points, the previous block's draws and states included (0.99 MB
+    traced at N = 4096, one trial per block, and at most 1.1 MB at any
+    smaller N), and nothing survives the row.
     """
     if grid_size < 1:
         raise ValueError(f"grid size must be positive, got {grid_size}")
@@ -248,70 +295,98 @@ def rep_checks(grid_size: int = 16, helicity: int = 1, trials: int = 100,
     step = grid.step()
     # composed boosts shift up to 2*max_steps; padding must leave support
     max_steps = min(3, (grid_size - 1) // 4)
+    n = grid_size
     boost_note = "" if max_steps else NO_BOOST_NOTE
     results = []
 
-    def axial_element():
-        return doublet.AxialElement(rng.uniform(-2, 2, 4),
-                                    int(rng.integers(-max_steps, max_steps + 1)) * step,
-                                    rng.uniform(-np.pi, np.pi))
+    def draw_axial(out):
+        """One axial element's draws: translation, boost in lattice steps, rotation."""
+        out[:4] = rng.uniform(-2, 2, 4)
+        out[4] = rng.integers(-max_steps, max_steps + 1)
+        out[5] = rng.uniform(-np.pi, np.pi)
 
-    devs = []
-    for _ in range(trials):
-        s = _random_doublet(rng, grid, interior=max_steps)
-        s_norm = s.norm()
-        for op_state in (
-                doublet.apply_translation(s, rng.uniform(-3, 3, 4)),
-                doublet.apply_axial_rotation(s, rng.uniform(-np.pi, np.pi)),
-                doublet.apply_axial_boost(s, rng.integers(-max_steps, max_steps + 1) * step),
+    def axial_elements(draws):
+        return doublet.AxialElement(draws[..., :4], draws[..., 4] * step, draws[..., 5])
+
+    def states(size):
+        normals = np.empty((size, 2, 2, n))
+        for t in range(size):
+            rng.standard_normal(out=normals[t])
+        return _doublets(grid, normals)
+
+    def unitarity(sizes):
+        for size in sizes:
+            normals, a, alpha, k = (np.empty((size, 2, 2, n)), np.empty((size, 4)),
+                                    np.empty(size), np.empty(size))
+            for t in range(size):
+                rng.standard_normal(out=normals[t])
+                a[t] = rng.uniform(-3, 3, 4)
+                alpha[t] = rng.uniform(-np.pi, np.pi)
+                k[t] = rng.integers(-max_steps, max_steps + 1)
+            s = _doublets(grid, normals, max_steps)
+            s_norm = s.norm()
+            yield [_dist([_dist(op_state.norm(), s_norm) for op_state in (
+                doublet.apply_translation(s, a),
+                doublet.apply_axial_rotation(s, alpha),
+                doublet.apply_axial_boost(s, k * step),
                 doublet.apply_u_lambda_inf(s),
-                doublet.apply_u_minus_i(s)):
-            devs.append(abs(op_state.norm() - s_norm))
-    results.append(_result("unitarity of every representation operator", _dist(devs), 1e-12,
+                doublet.apply_u_minus_i(s))])]
+    dev, = _over_blocks(trials, n, unitarity)
+    results.append(_result("unitarity of every representation operator", dev, 1e-12, boost_note))
+
+    def involutions(sizes):
+        for size in sizes:
+            s = states(size)
+            twice = [doublet.apply_u_lambda_inf(doublet.apply_u_lambda_inf(s, eps), eps)
+                     for eps in (1, -1)]
+            twice.append(doublet.apply_u_minus_i(doublet.apply_u_minus_i(s)))
+            yield [_dist([_dist(t.amps, s.amps) for t in twice])]
+    dev, = _over_blocks(trials, n, involutions)
+    results.append(_result("sector swap and momentum reversal are involutions", dev, 0.0))
+
+    def homomorphism(sizes):
+        for size in sizes:
+            normals, g = np.empty((size, 2, 2, n)), np.empty((size, 2, 6))
+            for t in range(size):
+                rng.standard_normal(out=normals[t])
+                draw_axial(g[t, 0])
+                draw_axial(g[t, 1])
+            s = _doublets(grid, normals, 2 * max_steps)
+            g1, g2 = axial_elements(g[:, 0]), axial_elements(g[:, 1])
+            left = doublet.apply_axial(doublet.apply_axial(s, g2), g1)
+            right = doublet.apply_axial(s, doublet.axial_product(grid, g1, g2))
+            yield [_dist(left.amps, right.amps)]
+    dev, = _over_blocks(trials, n, homomorphism)
+    results.append(_result("axial subgroup homomorphism", dev, 1e-10, boost_note))
+
+    def covariance(sizes):
+        for size in sizes:
+            normals, g = np.empty((size, 2, 2, n)), np.empty((size, 6))
+            for t in range(size):
+                rng.standard_normal(out=normals[t])
+                draw_axial(g[t])
+            s = _doublets(grid, normals, max_steps)
+            g = axial_elements(g)
+            yield [_dist([doublet.check_covariance(s, g, "lambda-inf"),
+                           doublet.check_covariance(s, g, "minus-i")])]
+    dev, = _over_blocks(trials, n, covariance)
+    results.append(_result("covariance under both discrete conjugations", dev, 1e-10,
                            boost_note))
 
-    devs = []
-    for _ in range(trials):
-        s = _random_doublet(rng, grid)
-        for eps in (1, -1):
-            twice = doublet.apply_u_lambda_inf(doublet.apply_u_lambda_inf(s, eps), eps)
-            devs.append(_dist(twice.amps, s.amps))
-        twice = doublet.apply_u_minus_i(doublet.apply_u_minus_i(s))
-        devs.append(_dist(twice.amps, s.amps))
-    results.append(_result("sector swap and momentum reversal are involutions", _dist(devs),
-                           0.0))
-
-    devs = []
-    for _ in range(trials):
-        s = _random_doublet(rng, grid, interior=2 * max_steps)
-        g1, g2 = axial_element(), axial_element()
-        left = doublet.apply_axial(doublet.apply_axial(s, g2), g1)
-        right = doublet.apply_axial(s, doublet.axial_product(grid, g1, g2))
-        devs.append(_dist(left.amps, right.amps))
-    results.append(_result("axial subgroup homomorphism", _dist(devs), 1e-10, boost_note))
-
-    devs = []
-    for _ in range(trials):
-        s = _random_doublet(rng, grid, interior=max_steps)
-        g = axial_element()
-        devs += [doublet.check_covariance(s, g, "lambda-inf"),
-                 doublet.check_covariance(s, g, "minus-i")]
-    results.append(_result("covariance under both discrete conjugations", _dist(devs), 1e-10,
-                           boost_note))
-
-    devs = []
-    for _ in range(trials):
-        s = _random_doublet(rng, grid)
-        c_plus, c_minus = doublet.epsilon_components(s)
-        plus = doublet.DoubletState(grid, c_plus / doublet.SQRT2, c_plus / doublet.SQRT2)
-        minus = doublet.DoubletState(grid, c_minus / doublet.SQRT2, -c_minus / doublet.SQRT2)
-        devs.append(_dist(plus.amps + minus.amps, s.amps))
-    results.append(_result("per-point decomposition into swap eigenstates", _dist(devs), 1e-12))
+    # s is the eigenstate (c+, c+)/sqrt(2) plus the eigenstate (c-, -c-)/sqrt(2)
+    def decomposition(sizes):
+        for size in sizes:
+            s = states(size)
+            c_plus, c_minus = doublet.epsilon_components(s)
+            plus, minus = c_plus / doublet.SQRT2, c_minus / doublet.SQRT2
+            yield [_dist(np.stack([plus + minus, plus - minus], axis=-2), s.amps)]
+    dev, = _over_blocks(trials, n, decomposition)
+    results.append(_result("per-point decomposition into swap eigenstates", dev, 1e-12))
 
     # U(lambda_inf) with eigenvalue eps' scales an eps-labelled eigenstate by eps * eps'
     devs = []
     for eps in (1, -1):
-        psi = _complex_normal(rng, grid_size)
+        psi = _complex_normal(rng, n)
         psi = psi / np.linalg.norm(psi)
         state = doublet.make_epsilon_eigenstate(grid, psi, eps)
         for eps_u in (1, -1):
@@ -321,9 +396,10 @@ def rep_checks(grid_size: int = 16, helicity: int = 1, trials: int = 100,
     return results
 
 
-# A bell-check trial keeps at most three dense complex N x N matrices alive:
-# 50.5 MB traced peak (tracemalloc) at N = 1024, fourfold per doubling, so
-# about 202 MB at N = 2048.
+# A bell-check block keeps at most three dense complex N x N matrices per
+# trial alive, and from N = 46 on a block is one trial: 50.6 MB traced peak
+# (tracemalloc) at N = 1024, fourfold per doubling, so about 202 MB at
+# N = 2048.  At N = 8 a block holds 64 trials and the suite peaks at 0.45 MB.
 BELL_MAX_GRID_SIZE = 2048
 
 
@@ -336,45 +412,53 @@ def bell_checks(grid_size: int = 8, trials: int = 100, seed: int = 0) -> list[Ch
         raise ValueError(f"trials must be positive, got {trials}")
     rng = _rng(seed)
     grid = doublet.FrequencyGrid(1.0, 1.25, grid_size)
+    n = grid_size
     results = []
 
-    iso_devs, devs = [], []
-    n = grid_size
-    for _ in range(trials):
-        s1 = _random_doublet(rng, grid)
-        s2 = _random_doublet(rng, grid)
-        lhs = np.vdot(qubit.sector_isometry(s1), qubit.sector_isometry(s2))
-        rhs = np.vdot(s1.amps, s2.amps)
-        iso_devs.append(abs(lhs - rhs))
-        a1 = _complex_normal(rng, (n, n))
-        a2 = _complex_normal(rng, (n, n))
-        b1 = _complex_normal(rng, (2, 2))
-        b2 = _complex_normal(rng, (2, 2))
-        # at most three dense N x N matrices live at once (a1, a2 and a1 @ a2):
-        # a2 goes before the adjoint is built, a1 before the identity
-        op = qubit.iota(a1, b1)
-        left = qubit.apply_block(op, qubit.apply_block(qubit.iota(a2, b2), s1))
-        right = qubit.apply_block(qubit.iota(a1 @ a2, b1 @ b2), s1)
-        del a2
-        # adjoint: <s2, iota(A x B) s1> = <iota(A^H x B^H) s2, s1>
-        forward = qubit.apply_block(op, s1)
-        adj = qubit.apply_block(qubit.iota(a1.conj().T, b1.conj().T), s2)
-        del a1, op
-        unit = qubit.apply_block(qubit.iota(np.eye(n, dtype=complex), qubit.ID2), s1)
-        devs += [_dist(unit.amps, s1.amps), _dist(left.amps, right.amps),
-                 abs(np.vdot(s2.amps, forward.amps) - np.vdot(adj.amps, s1.amps))]
-    results.append(_result("sector isometry preserves inner products", _dist(iso_devs), 1e-12))
-    results.append(_result("observable embedding is a unital *-homomorphism", _dist(devs),
-                           1e-10))
+    def dictionary(sizes):
+        for size in sizes:
+            d1, d2 = np.empty((size, 2, 2, n)), np.empty((size, 2, 2, n))
+            a1, a2 = np.empty((size, n, n), dtype=complex), np.empty((size, n, n), dtype=complex)
+            b1, b2 = np.empty((size, 2, 2), dtype=complex), np.empty((size, 2, 2), dtype=complex)
+            for t in range(size):
+                rng.standard_normal(out=d1[t])
+                rng.standard_normal(out=d2[t])
+                for z in (a1, a2, b1, b2):
+                    _fill_complex_normal(rng, z[t])
+            s1, s2 = _doublets(grid, d1), _doublets(grid, d2)
+            iso = _dist(doublet._cabs(doublet._vdot(qubit.sector_isometry(s1),
+                                                    qubit.sector_isometry(s2))
+                                      - doublet._vdot(s1.amps, s2.amps)))
+            # at most three dense N x N matrices per trial live at once (a1, a2 and
+            # a1 @ a2): a2 goes before the adjoint is built, a1 before the identity
+            op = qubit.iota(a1, b1)
+            left = qubit.apply_block(op, qubit.apply_block(qubit.iota(a2, b2), s1))
+            right = qubit.apply_block(qubit.iota(a1 @ a2, b1 @ b2), s1)
+            del a2
+            # adjoint: <s2, iota(A x B) s1> = <iota(A^H x B^H) s2, s1>
+            forward = qubit.apply_block(op, s1)
+            adj = qubit.apply_block(qubit.iota(np.swapaxes(a1.conj(), -1, -2),
+                                               np.swapaxes(b1.conj(), -1, -2)), s2)
+            del a1, op
+            unit = qubit.apply_block(qubit.iota(np.eye(n, dtype=complex), qubit.ID2), s1)
+            yield [iso, _dist([_dist(unit.amps, s1.amps), _dist(left.amps, right.amps),
+                               _dist(doublet._cabs(doublet._vdot(s2.amps, forward.amps)
+                                                   - doublet._vdot(adj.amps, s1.amps)))])]
+    iso, dev = _over_blocks(trials, n * n, dictionary)
+    results.append(_result("sector isometry preserves inner products", iso, 1e-12))
+    results.append(_result("observable embedding is a unital *-homomorphism", dev, 1e-10))
 
-    devs = []
-    for _ in range(trials):
-        s = _random_doublet(rng, grid)
-        a = _complex_normal(rng, (n, n))
-        b = _complex_normal(rng, (2, 2))
-        devs.append(qubit.expectation_equality(s, a, b)[2])
-    results.append(_result("expectations agree on both sides of the dictionary", _dist(devs),
-                           1e-10))
+    def expectations(sizes):
+        for size in sizes:
+            d, a = np.empty((size, 2, 2, n)), np.empty((size, n, n), dtype=complex)
+            b = np.empty((size, 2, 2), dtype=complex)
+            for t in range(size):
+                rng.standard_normal(out=d[t])
+                _fill_complex_normal(rng, a[t])
+                _fill_complex_normal(rng, b[t])
+            yield [_dist(qubit.expectation_equality(_doublets(grid, d), a, b)[2])]
+    dev, = _over_blocks(trials, n * n, expectations)
+    results.append(_result("expectations agree on both sides of the dictionary", dev, 1e-10))
 
     dev = _dist([qubit.u_lambda_conjugation_check(1), qubit.u_lambda_conjugation_check(grid_size)])
     results.append(_result("conjugated sector swap equals I x sigma_x", dev, 1e-14))

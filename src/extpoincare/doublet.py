@@ -1,7 +1,11 @@
 """Two-sector massless doublet states on a log-spaced frequency lattice.
 
 A state holds one complex (2, N) array: row 0 is the forward sector, row 1
-the backward one, so the two-valued internal index is the first axis.
+the backward one, so the two-valued internal index is the first axis.  A
+stack of states holds (..., 2, N).  Every operator below, the norm and the
+sector-swap components act on each state of a stack, with one parameter for
+all or one per state along the same leading axes, as the group functions
+do; one state gives the same bits as a stack containing it.
 Forward lattice point i carries momentum omega_i * (1, n); the backward point
 carries its negative.  Amplitudes absorb the square root of the
 scale-invariant measure, so boosts along n act as plain index shifts and
@@ -105,9 +109,11 @@ class DoubletState:
 
     ``amps`` is a read-only complex (2, N) array, forward row first, that
     never aliases the caller's arrays; ``psi_fwd`` and ``psi_bwd`` are views
-    of its rows.  ``leaked_norm`` records squared norm dropped off the lattice
-    by the most recent boost; it is diagnostic only and not part of the state
-    proper.
+    of its rows.  The constructor builds one state; the operators also return
+    stacks, with ``amps`` of shape (..., 2, N).  ``leaked_norm`` records
+    squared norm dropped off the lattice by the most recent boost, a float for
+    one state and an array of the leading shape for a stack; it is diagnostic
+    only and not part of the state proper.
     """
 
     grid: FrequencyGrid
@@ -124,15 +130,44 @@ class DoubletState:
 
     @property
     def psi_fwd(self) -> np.ndarray:
-        return self.amps[0]
+        return self.amps[..., 0, :]
 
     @property
     def psi_bwd(self) -> np.ndarray:
-        return self.amps[1]
+        return self.amps[..., 1, :]
 
-    def norm(self) -> float:
-        """The l2 norm as one dot product; a NaN amplitude gives NaN."""
-        return math.sqrt(np.vdot(self.amps, self.amps).real)
+    def norm(self):
+        """The l2 norm of each state, as one dot product; a NaN amplitude gives NaN.
+
+        A sector swap is a view with a negative sector stride.  The dot reads
+        it in memory order, so it copies nothing and the swap keeps the norm
+        bit for bit.
+        """
+        a = self.amps
+        if a.strides[-2] < 0:
+            a = a[..., ::-1, :]
+        return _item(np.sqrt(_vdot(a, a).real))
+
+
+def _vdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """<x, y> of each state of two stacks, over the last two axes in C order.
+
+    Each is one BLAS dot, with the bits of ``np.vdot`` on that state alone.
+    """
+    return np.vecdot(x.reshape(x.shape[:-2] + (-1,)), y.reshape(y.shape[:-2] + (-1,)))
+
+
+def _cabs(z) -> np.ndarray:
+    """|z| of each complex value with the bits of abs() on one Python complex.
+
+    np.abs on a complex array rounds differently in the last place.
+    """
+    return np.hypot(np.real(z), np.imag(z))
+
+
+def _item(x):
+    """A per-state value: the array for a stack, a Python scalar for one state."""
+    return x.item() if x.ndim == 0 else x
 
 
 def _fill(s: DoubletState, grid: FrequencyGrid, amps: np.ndarray, leaked_norm: float) -> None:
@@ -142,8 +177,11 @@ def _fill(s: DoubletState, grid: FrequencyGrid, amps: np.ndarray, leaked_norm: f
     object.__setattr__(s, "leaked_norm", leaked_norm)
 
 
-def _state(grid: FrequencyGrid, amps: np.ndarray, leaked_norm: float = 0.0) -> DoubletState:
-    """A state over (2, N) amplitudes that no caller keeps a writable handle on, without a copy."""
+def _state(grid: FrequencyGrid, amps: np.ndarray, leaked_norm=0.0) -> DoubletState:
+    """A state or stack over (..., 2, N) amplitudes that no caller keeps a writable handle on.
+
+    Nothing is copied.
+    """
     s = object.__new__(DoubletState)
     _fill(s, grid, amps, leaked_norm)
     return s
@@ -156,7 +194,11 @@ def _check_epsilon(epsilon) -> None:
 
 @dataclass(frozen=True, eq=False)
 class AxialElement:
-    """Element (a, B(chi) R(alpha)) of the subgroup adapted to the grid direction."""
+    """Element (a, B(chi) R(alpha)) of the subgroup adapted to the grid direction.
+
+    A stack of elements has translations (..., 4) and boosts and rotations of
+    the leading shape.
+    """
 
     translation: np.ndarray = field(default_factory=lambda: np.zeros(4))
     boost: float = 0.0
@@ -164,7 +206,7 @@ class AxialElement:
 
     def __post_init__(self):
         a = np.asarray(self.translation, dtype=float)
-        if a.shape != (4,):
+        if a.shape[-1:] != (4,):
             raise ValueError(f"translation must be a 4-vector, got shape {a.shape}")
         object.__setattr__(self, "translation", a)
 
@@ -173,73 +215,95 @@ def apply_translation(s: DoubletState, a) -> DoubletState:
     """Multiply each amplitude by exp(i eta(p, a)) at its lattice momentum.
 
     For p = omega_i (1, n) the pairing is eta(p, a) = omega_i (a0 - n.a).  The
-    phases are written as cos and sin into one (2, N) buffer, the backward row
-    conjugate; this gives the bits of exp(1j * x).  ``a`` must be a finite
-    4-vector; a lattice past the float range still gives NaN amplitudes.
+    phases are written as cos and sin into one (..., 2, N) buffer, the
+    backward row conjugate; this gives the bits of exp(1j * x).  ``a`` must be
+    a finite 4-vector, or one per state of a stack; a lattice past the float
+    range still gives NaN amplitudes.
     """
     a = np.asarray(a, dtype=float)
-    if a.shape != (4,) or not all(map(math.isfinite, a.tolist())):
+    if a.shape[-1:] != (4,) or not np.isfinite(a).all():
         raise ValueError(f"translation a must be a finite 4-vector, got {a!r}")
-    x = s.grid.omegas * (a[0] - s.grid.direction @ a[1:])
+    x = s.grid.omegas * (a[..., 0] - group._dot(a[..., 1:], s.grid.direction))[..., None]
     phases = np.empty(s.amps.shape, dtype=complex)
     re, im = phases.real, phases.imag
-    np.cos(x, out=re[0])
-    re[1] = re[0]
-    np.sin(x, out=im[0])
-    np.negative(im[0], out=im[1])
+    np.cos(x, out=re[..., 0, :])
+    re[..., 1, :] = re[..., 0, :]
+    np.sin(x, out=im[..., 0, :])
+    np.negative(im[..., 0, :], out=im[..., 1, :])
     return _state(s.grid, np.multiply(s.amps, phases, out=phases))
 
 
-def apply_axial_rotation(s: DoubletState, alpha: float) -> DoubletState:
+def apply_axial_rotation(s: DoubletState, alpha) -> DoubletState:
     """Rotation about the grid direction: helicity phase exp(i*lambda*alpha) on both sectors."""
-    phase = np.exp(1j * s.grid.helicity * alpha)
-    return _state(s.grid, phase * s.amps)
+    phase = np.exp(1j * s.grid.helicity * np.asarray(alpha, dtype=float))
+    return _state(s.grid, phase[..., None, None] * s.amps)
 
 
-def _shift(a: np.ndarray, k: int) -> tuple[np.ndarray, float]:
-    """Shift a by k along its last axis, zero-filling; also the squared norm shifted out.
+def _slide(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Shift every state of a by k along the last axis, zero-filling; also each state's leak.
 
-    A shift of 0 returns a itself.
+    The leak is the squared norm a state shifted out.  A shift of 0 returns a itself.
     """
     if k == 0:
-        return a, 0.0
+        return a, np.zeros(a.shape[:-2])
     out = np.zeros_like(a)
     n = a.shape[-1]
     if k >= n or k <= -n:
-        return out, float(np.sum(np.abs(a) ** 2))
-    if k >= 0:
+        dropped = a
+    elif k > 0:
         out[..., k:] = a[..., :n - k]
         dropped = a[..., n - k:]
     else:
         out[..., :n + k] = a[..., -k:]
         dropped = a[..., :-k]
-    return out, float(np.sum(np.abs(dropped) ** 2))
+    lost = np.abs(dropped) ** 2
+    return out, lost.reshape(lost.shape[:-2] + (-1,)).sum(axis=-1)
 
 
-def apply_axial_boost(s: DoubletState, rapidity: float) -> DoubletState:
+def _shift(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shift each state of a by its k (one for all, or one each); also each state's leak.
+
+    One shift for the whole stack is one slice; distinct shifts take one
+    slice per shift value, over the states that share it.
+    """
+    shifts = set(k.ravel().tolist())
+    if len(shifts) == 1:
+        return _slide(a, shifts.pop())
+    out, leak = np.empty(a.shape, dtype=a.dtype), np.empty(k.shape)
+    for shift in shifts:
+        rows = k == shift
+        out[rows], leak[rows] = _slide(a[rows], shift)
+    return out, leak
+
+
+def apply_axial_boost(s: DoubletState, rapidity) -> DoubletState:
     """Boost along the grid direction; rapidity k*ln(ratio) shifts indices by k.
 
     Both sectors shift the same way: the two cone representatives lie on one
     line through the origin, so a boost rescales their frequency labels by the
     same factor.  Off-lattice rapidities are rejected, since no index shift
     represents them unitarily.  Amplitudes pushed off the lattice are dropped;
-    the lost squared norm is recorded on the result and a RuntimeWarning is
-    emitted when it exceeds 1e-6 of the squared norm.
+    the squared norm each state loses is recorded on the result, and a
+    RuntimeWarning is emitted for each state that loses more than 1e-6 of its
+    own squared norm.  A stack of states takes one rapidity, or one per state.
     """
-    if not math.isfinite(rapidity):
-        raise ValueError(f"rapidity must be finite, got {rapidity!r}")
+    rapidity = np.asarray(rapidity, dtype=float)
+    if not np.isfinite(rapidity).all():
+        raise ValueError(f"rapidity must be finite, got {_item(rapidity)!r}")
     step = s.grid.step()
     delta = rapidity / step
-    k = round(delta)
-    if abs(delta - k) > LATTICE_TOL:
+    k = np.rint(delta)
+    off = np.abs(delta - k) > LATTICE_TOL
+    if off.any():
         raise ValueError(
-            f"rapidity {rapidity} is not an integer multiple of ln(ratio) = {step:.6g}; "
+            f"rapidity {rapidity[off][0]} is not an integer multiple of ln(ratio) = {step:.6g}; "
             "the lattice has no unitary boost for it")
-    amps, leak = _shift(s.amps, k)
-    if leak > 0 and leak > LEAK_WARN_THRESHOLD * s.norm() ** 2:
-        warnings.warn(f"boost pushed {leak:.3e} of squared norm off the lattice",
-                      RuntimeWarning, stacklevel=2)
-    return _state(s.grid, amps, leaked_norm=leak)
+    amps, leak = _shift(s.amps, k.astype(int))
+    if leak.any():
+        for lost in np.asarray(leak)[leak > LEAK_WARN_THRESHOLD * s.norm() ** 2]:
+            warnings.warn(f"boost pushed {lost:.3e} of squared norm off the lattice",
+                          RuntimeWarning, stacklevel=2)
+    return _state(s.grid, amps, leaked_norm=_item(leak))
 
 
 def apply_u_lambda_inf(s: DoubletState, epsilon: int = 1) -> DoubletState:
@@ -250,13 +314,13 @@ def apply_u_lambda_inf(s: DoubletState, epsilon: int = 1) -> DoubletState:
     so the swap intertwines boosts for either choice.
     """
     _check_epsilon(epsilon)
-    swapped = s.amps[::-1]
+    swapped = s.amps[..., ::-1, :]
     return _state(s.grid, swapped if epsilon == 1 else -swapped)
 
 
 def apply_u_minus_i(s: DoubletState) -> DoubletState:
     """Momentum reversal: exchanges the sectors, index-aligned on this lattice."""
-    return _state(s.grid, s.amps[::-1])
+    return _state(s.grid, s.amps[..., ::-1, :])
 
 
 def make_epsilon_eigenstate(grid: FrequencyGrid, psi, epsilon: int) -> DoubletState:
@@ -291,7 +355,7 @@ def axial_product(grid: FrequencyGrid, g1: AxialElement, g2: AxialElement) -> Ax
     """Group law on the axial subgroup: (a1 + h1 a2, chi1+chi2, alpha1+alpha2)."""
     n = grid.direction
     h1 = group.boost_matrix(n, g1.boost) @ group.rotation_matrix(n, g1.rotation)
-    return AxialElement(g1.translation + h1 @ g2.translation,
+    return AxialElement(g1.translation + group.act(h1, g2.translation),
                         g1.boost + g2.boost,
                         g1.rotation + g2.rotation)
 
@@ -308,7 +372,7 @@ def check_covariance(s: DoubletState, g: AxialElement, discrete: str = "lambda-i
     """
     if discrete == "lambda-inf":
         swap = apply_u_lambda_inf
-        a_conj = s.grid._coordinate_swap @ g.translation
+        a_conj = group.act(s.grid._coordinate_swap, g.translation)
     elif discrete == "minus-i":
         swap = apply_u_minus_i
         a_conj = -g.translation
@@ -316,7 +380,7 @@ def check_covariance(s: DoubletState, g: AxialElement, discrete: str = "lambda-i
         raise ValueError(f"discrete element must be 'lambda-inf' or 'minus-i', got {discrete!r}")
     lhs = swap(apply_axial(swap(s), g))
     rhs = apply_axial(s, AxialElement(a_conj, g.boost, g.rotation))
-    return float(np.abs(lhs.amps - rhs.amps).max())
+    return _item(np.abs(lhs.amps - rhs.amps).max(axis=(-2, -1)))
 
 
 def doublet_to_json(s: DoubletState) -> str:

@@ -6,6 +6,8 @@ doublet's (2, N) amplitude array it only relabels (sector, point) as (point,
 sector), a transpose.  The observable embedding iota realizes A x B as the
 2x2 block matrix with blocks b_ij * A acting on the stacked doublet; it is a
 unital *-homomorphism, and under V the sector swap becomes I x sigma_x.
+Stacks of doublets, and stacks (..., N, N) and (..., 2, 2) of the factors,
+act state by state along the leading axes, with the bits of one state alone.
 
 Two-qubit states follow the ordered basis (+H, +V, -H, -V): direction qubit
 first, polarization second, with the internal dictionary fwd -> H, bwd -> V.
@@ -17,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .doublet import DoubletState, FrequencyGrid, apply_u_lambda_inf
+from .doublet import (DoubletState, FrequencyGrid, _cabs, _item, _state, _vdot,
+                      apply_u_lambda_inf)
 
 ID2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -51,12 +54,12 @@ class BlockOperator:
 
     @property
     def sector_dim(self) -> int:
-        return self.a.shape[0]
+        return self.a.shape[-1]
 
 
 def sector_isometry(s: DoubletState) -> np.ndarray:
     """V applied to a doublet: the (N, 2) transpose of its amplitudes, column 0 = fwd."""
-    return s.amps.T
+    return np.swapaxes(s.amps, -1, -2)
 
 
 def isometry_matrix(n: int) -> np.ndarray:
@@ -72,21 +75,26 @@ def iota(a, b) -> BlockOperator:
     """Embed A x B as the block operator with blocks b_ij * A on the stacked doublet."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError(f"A must be square, got shape {a.shape}")
-    if b.shape != (2, 2):
+    if b.shape[-2:] != (2, 2):
         raise ValueError(f"B must be 2x2, got shape {b.shape}")
     return BlockOperator(a, b)
 
 
 def apply_block(op: BlockOperator, s: DoubletState) -> DoubletState:
-    """The block action on a doublet: sector i becomes sum_j b_ij A psi_j."""
+    """The block action on a doublet: sector i becomes sum_j b_ij A psi_j.
+
+    A psi_j is one matrix-vector product per sector, as for one state:
+    ``amps @ A.T`` would round differently.
+    """
     n = s.grid.count
     if op.sector_dim != n:
         raise ValueError(f"operator sector dimension {op.sector_dim} != grid size {n}")
-    a_fwd, a_bwd = op.a @ s.psi_fwd, op.a @ s.psi_bwd
-    (b00, b01), (b10, b11) = op.b
-    return DoubletState(s.grid, b00 * a_fwd + b01 * a_bwd, b10 * a_fwd + b11 * a_bwd)
+    a_psi = (op.a[..., None, :, :] @ s.amps[..., None])[..., 0]
+    b = op.b
+    return _state(s.grid, b[..., :, 0, None] * a_psi[..., None, 0, :]
+                  + b[..., :, 1, None] * a_psi[..., None, 1, :])
 
 
 def u_lambda_block(n: int) -> BlockOperator:
@@ -97,10 +105,10 @@ def u_lambda_block(n: int) -> BlockOperator:
 def expectation_equality(s: DoubletState, a, b) -> tuple[complex, complex, float]:
     """Both sides of <Psi, iota(AxB) Psi> = <V Psi, (AxB) V Psi> and their gap."""
     op = iota(a, b)
-    lhs = complex(np.vdot(s.amps, apply_block(op, s).amps))
+    lhs = _vdot(s.amps, apply_block(op, s).amps)
     w = sector_isometry(s)
-    rhs = complex(np.vdot(w, op.a @ w @ op.b.T))
-    return lhs, rhs, abs(lhs - rhs)
+    rhs = _vdot(w, op.a @ w @ np.swapaxes(op.b, -1, -2))
+    return _item(lhs), _item(rhs), _item(_cabs(lhs - rhs))
 
 
 def u_lambda_conjugation_check(n: int) -> float:

@@ -150,14 +150,19 @@ def test_group_suite_rows_and_results_hold_over_seeds(convention, cone_row):
 
 
 def _doublet(s, amps):
-    return doublet.DoubletState(s.grid, *amps)
+    """A state or stack over s's grid with the given (..., 2, N) amplitudes."""
+    return doublet._state(s.grid, np.array(amps, dtype=complex))
 
 
 def _translation_with_the_forward_phase_in_both_sectors(orig):
     def translate(s, a):
-        phases = orig(_doublet(s, np.ones((2, s.grid.count))), a).psi_fwd
-        return _doublet(s, phases * s.amps)
+        phases = orig(_doublet(s, np.ones(s.amps.shape)), a).psi_fwd
+        return _doublet(s, phases[..., None, :] * s.amps)
     return translate
+
+
+def _boost_by_the_first_trials_shift(orig):
+    return lambda s, rapidity: orig(s, np.ravel(rapidity)[0])
 
 
 def _swap_with_the_first_samples_projector(orig):
@@ -185,17 +190,21 @@ SMALL_SUITES = {
 # attribute, defect built from the original attribute).
 PLANTED_DEFECTS = [
     pytest.param("rep", REP_CHECK_ROWS[0][0], doublet, "apply_axial_rotation",
-                 lambda orig: lambda s, alpha: _doublet(s, (1 + 1j * s.grid.helicity * alpha)
-                                                        * s.amps),
+                 lambda orig: lambda s, alpha: _doublet(
+                     s, (1 + 1j * s.grid.helicity * np.asarray(alpha)[..., None, None]) * s.amps),
                  id="rotation-phase-linearised"),
     pytest.param("rep", REP_CHECK_ROWS[1][0], doublet, "apply_u_lambda_inf",
-                 lambda orig: lambda s, epsilon=1: _doublet(s, [epsilon * s.psi_bwd, s.psi_fwd]),
+                 lambda orig: lambda s, epsilon=1: _doublet(
+                     s, np.stack([epsilon * s.psi_bwd, s.psi_fwd], axis=-2)),
                  id="swap-sign-on-one-sector"),
     pytest.param("rep", REP_CHECK_ROWS[2][0], doublet, "axial_product",
                  lambda orig: lambda grid, g1, g2: doublet.AxialElement(
                      g1.translation + g2.translation, g1.boost + g2.boost,
                      g1.rotation + g2.rotation),
                  id="axial-product-adds-translations"),
+    # every state of a block must shift by its own k, not by the first trial's
+    pytest.param("rep", REP_CHECK_ROWS[2][0], doublet, "apply_axial_boost",
+                 _boost_by_the_first_trials_shift, id="boost-shifts-by-the-first-trial"),
     pytest.param("rep", REP_CHECK_ROWS[3][0], doublet, "apply_translation",
                  _translation_with_the_forward_phase_in_both_sectors,
                  id="backward-sector-gets-forward-phase"),
@@ -206,7 +215,8 @@ PLANTED_DEFECTS = [
     pytest.param("bell", BELL_CHECK_ROWS[0][0], qubit, "sector_isometry",
                  lambda orig: lambda s: orig(s).conj(), id="isometry-conjugated"),
     pytest.param("bell", BELL_CHECK_ROWS[1][0], qubit, "apply_block",
-                 lambda orig: lambda op, s: orig(qubit.BlockOperator(op.a, op.b.T), s),
+                 lambda orig: lambda op, s: orig(
+                     qubit.BlockOperator(op.a, np.swapaxes(op.b, -1, -2)), s),
                  id="block-action-transposes-b"),
     # A x conj(B) is still a unital *-homomorphism, so only the dictionary breaks
     pytest.param("bell", BELL_CHECK_ROWS[2][0], qubit, "apply_block",

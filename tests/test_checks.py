@@ -45,6 +45,29 @@ def test_random_doublet_draws_the_bits_of_two_complex_normal_draws(interior):
     assert rng.standard_normal() == twin.standard_normal()
 
 
+# (suite, lattice points or matrix entries per trial) at the default sizes
+BLOCKED_SUITES = {"rep": (lambda trials: checks.rep_checks(16, 1, trials, 4), 16),
+                  "bell": (lambda trials: checks.bell_checks(8, trials, 4), 64)}
+
+
+@pytest.mark.parametrize("suite", BLOCKED_SUITES)
+@pytest.mark.parametrize("block", [1, 7])
+def test_rep_and_bell_rows_do_not_depend_on_the_block_size(monkeypatch, suite, block):
+    run, per_trial = BLOCKED_SUITES[suite]
+    default = run(20)
+    monkeypatch.setattr(checks, "TRIAL_BLOCK", block * per_trial)
+    assert run(20) == default
+
+
+# a row holds one block and the previous block's draws and states, so the
+# peak is flat from two blocks on
+@pytest.mark.parametrize("suite", BLOCKED_SUITES)
+def test_rep_and_bell_peaks_do_not_grow_with_trials(suite):
+    run, per_trial = BLOCKED_SUITES[suite]
+    block = checks.TRIAL_BLOCK // per_trial
+    assert _traced_peak(run, 6 * block) <= 1.25 * _traced_peak(run, 2 * block)
+
+
 def test_rep_checks_hold_about_27_grid_vectors():
     # 26.6 complex N-vectors (1.75 MB) traced at N = 4096, for any number of trials
     n = 4096

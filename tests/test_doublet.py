@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -144,7 +145,7 @@ def test_translation_has_the_bits_of_the_complex_exponential(n, theta, phi):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-@pytest.mark.parametrize("a", [np.zeros(3), np.zeros(5), np.zeros((2, 4)), 0.0,
+@pytest.mark.parametrize("a", [np.zeros(3), np.zeros(5), np.zeros((4, 3)), 0.0,
                                [math.nan, 0, 0, 0], [0, 0, math.inf, 0], [0, 0, 0, -math.inf]])
 def test_translation_rejects_anything_but_a_finite_4_vector(a):
     s = checks._random_doublet(np.random.default_rng(0), GRID)
@@ -415,3 +416,101 @@ def test_json_layout_is_unchanged():
         '{"grid": {"omega_min": 0.25, "ratio": 1.5, "count": 3, "theta": 0.3, "phi": 1.0, '
         '"helicity": 2}, "psi_fwd": [[1.0, 0.0], [0.0, 0.5], [-0.25, 0.125]], '
         '"psi_bwd": [[0.0, 0.0], [1e-300, 0.0], [-2.5, 0.0]]}')
+
+
+def _same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _stack_and_singles(n, trials=7, seed=12):
+    """A (trials, 2, N) stack on the rep_checks lattice, its states and one element per state."""
+    grid = FrequencyGrid(1.0, min(1.25, checks.OMEGA_TOP ** (1.0 / (n - 1))), n, helicity=-2)
+    rng = np.random.default_rng(seed)
+    singles = [checks._random_doublet(rng, grid, interior=6) for _ in range(trials)]
+    stack = doublet._state(grid, np.array([s.amps for s in singles]))
+    k = np.arange(trials) % 7 - 3  # every shift in -3..3, 0 included
+    g = AxialElement(rng.uniform(-2, 2, (trials, 4)), k * grid.step(),
+                     rng.uniform(-np.pi, np.pi, trials))
+    elements = [AxialElement(g.translation[i], g.boost[i], g.rotation[i]) for i in range(trials)]
+    return stack, singles, g, elements
+
+
+@pytest.mark.parametrize("n", [16, 4096])
+def test_stacked_operators_give_the_bits_of_single_calls(n):
+    stack, singles, g, elements = _stack_and_singles(n)
+    grid = stack.grid
+    h = doublet.axial_product(grid, g, AxialElement(g.translation[::-1], g.boost[::-1],
+                                                     g.rotation[::-1]))
+    state_ops = {
+        "translation": (lambda s, e: apply_translation(s, e.translation)),
+        "rotation": (lambda s, e: apply_axial_rotation(s, e.rotation)),
+        "boost": (lambda s, e: apply_axial_boost(s, e.boost)),
+        "swap +1": (lambda s, e: apply_u_lambda_inf(s)),
+        "swap -1": (lambda s, e: apply_u_lambda_inf(s, -1)),
+        "reversal": (lambda s, e: apply_u_minus_i(s)),
+        "axial": doublet.apply_axial,
+    }
+    for name, op in state_ops.items():
+        got = op(stack, g)
+        for i, s in enumerate(singles):
+            assert _same_bits(got.amps[i], op(s, elements[i]).amps), (name, i)
+    for i, s in enumerate(singles):
+        swapped = apply_u_lambda_inf(s)
+        assert _same_bits(stack.norm()[i], s.norm())
+        assert _same_bits(apply_u_lambda_inf(stack).norm()[i], swapped.norm())
+        for got, want in zip(doublet.epsilon_components(stack), doublet.epsilon_components(s)):
+            assert _same_bits(got[i], want)
+        for discrete in ("lambda-inf", "minus-i"):
+            assert _same_bits(check_covariance(stack, g, discrete)[i],
+                              check_covariance(s, elements[i], discrete))
+        want = doublet.axial_product(grid, elements[i], elements[-1 - i])
+        for part in ("translation", "boost", "rotation"):
+            assert _same_bits(getattr(h, part)[i], getattr(want, part))
+    assert isinstance(singles[0].norm(), float)
+    assert isinstance(check_covariance(singles[0], elements[0]), float)
+
+
+def test_stacked_boost_records_each_leak_and_warns_like_single_calls():
+    grid = FrequencyGrid(1.0, 1.25, 6)
+    amps = np.zeros((5, 2, 6), dtype=complex)
+    amps[:, 0, 5] = 1e-4  # a leak of 1e-8 of the squared norm at every upward shift
+    amps[:, 1, 2] = 1.0
+    amps[3, 0, 0] = 0.5  # a downward leak of 0.2 of the squared norm
+    stack = doublet._state(grid, amps)
+    singles = [doublet._state(grid, a.copy()) for a in amps]
+    k = np.array([1, 0, 7, -1, 1])  # shift 7 pushes the whole state off the lattice
+
+    def boost(state, rapidity):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = apply_axial_boost(state, rapidity)
+        return out, [str(w.message) for w in caught]
+
+    out, warned = boost(stack, k * grid.step())
+    single = [boost(s, float(ki) * grid.step()) for s, ki in zip(singles, k)]
+    assert out.leaked_norm.shape == (5,)
+    assert all(isinstance(o.leaked_norm, float) for o, _ in single)
+    assert _same_bits(out.leaked_norm, [o.leaked_norm for o, _ in single])
+    assert warned == [w for _, ws in single for w in ws]
+    assert len(warned) == 2  # shifts 7 and -1; 1e-8 stays under the 1e-6 threshold
+    assert out.leaked_norm[1] == 0.0 and out.leaked_norm[0] > 0.0
+
+
+def test_norm_of_a_swapped_view_copies_nothing_and_keeps_a_nan():
+    n = 4096
+    s = checks._random_doublet(np.random.default_rng(3), FrequencyGrid(1.0, 1.0017, n))
+    swapped = apply_u_lambda_inf(s)
+    assert swapped.amps.strides[0] < 0
+    swapped.norm()
+    tracemalloc.start()
+    try:
+        norm = swapped.norm()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * n  # a copy of the state would be 32 n bytes
+    assert norm == s.norm()
+    amps = s.amps.copy()
+    amps[1, 7] = math.nan
+    assert math.isnan(apply_u_minus_i(doublet._state(s.grid, amps)).norm())

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from extpoincare import qubit
+from extpoincare import doublet, qubit
 from extpoincare.doublet import DoubletState, FrequencyGrid, apply_u_lambda_inf, make_epsilon_eigenstate
 from extpoincare.qubit import (
     ID2,
@@ -170,3 +170,30 @@ def test_single_mode_doublet_maps_to_path_polarization():
         expected = np.array([1, 0, 0, eps]) / np.sqrt(2)
         assert np.max(np.abs(t.amplitudes - expected)) < 1e-12
 
+
+
+@pytest.mark.parametrize("n", [8, 256])
+def test_stacked_dictionary_gives_the_bits_of_single_calls(n):
+    rng = np.random.default_rng(70 + n)
+    grid = FrequencyGrid(1.0, 1.25, n)
+    trials = 3
+    singles = [random_state(rng, grid) for _ in range(trials)]
+    stack = doublet._state(grid, np.array([s.amps for s in singles]))
+    a = rng.standard_normal((trials, n, n)) + 1j * rng.standard_normal((trials, n, n))
+    b = rng.standard_normal((trials, 2, 2)) + 1j * rng.standard_normal((trials, 2, 2))
+    op = iota(a, b)
+    assert op.sector_dim == n
+    moved = apply_block(op, stack)
+    shared = apply_block(iota(a[0], b[0]), stack)
+    lhs, rhs, gap = qubit.expectation_equality(stack, a, b)
+    for i, s in enumerate(singles):
+        assert moved.amps[i].tobytes() == apply_block(iota(a[i], b[i]), s).amps.tobytes()
+        assert shared.amps[i].tobytes() == apply_block(iota(a[0], b[0]), s).amps.tobytes()
+        assert sector_isometry(stack)[i].tobytes() == sector_isometry(s).tobytes()
+        want = qubit.expectation_equality(s, a[i], b[i])
+        assert type(want[0]) is complex and type(want[2]) is float
+        assert (lhs[i], rhs[i], gap[i]) == want
+    with pytest.raises(ValueError, match="square"):
+        iota(np.ones((trials, 2, 3)), ID2)
+    with pytest.raises(ValueError, match="2x2"):
+        iota(a, np.ones((trials, 2)))
