@@ -195,19 +195,6 @@ def ad_eta_table(convention: str = "momentum", seed: int = 0) -> list[dict]:
     return rows
 
 
-def _fill_complex_normal(rng: np.random.Generator, z: np.ndarray) -> None:
-    """z = standard_normal + 1j * standard_normal of z's shape: the same draws and bits."""
-    z.real = rng.standard_normal(z.shape)
-    z.imag = rng.standard_normal(z.shape)
-
-
-def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """standard_normal + 1j * standard_normal: the same draws and bits, no complex temporary."""
-    z = np.empty(shape, dtype=complex)
-    _fill_complex_normal(rng, z)
-    return z
-
-
 def _doublets(grid: doublet.FrequencyGrid, draws: np.ndarray,
               interior: int = 0) -> doublet.DoubletState:
     """Unit doublets from normal draws (..., 2, 2, N), each f.re, f.im, b.re, b.im.
@@ -244,6 +231,28 @@ def _random_doublet(rng: np.random.Generator, grid: doublet.FrequencyGrid,
 # are those of a single trial.  Each trial draws its quantities in turn, into
 # the block's buffers, so the results do not depend on the block size.
 TRIAL_BLOCK = 4096
+
+
+def _complex_normal(rng: np.random.Generator, shape=None, out=None) -> np.ndarray:
+    """standard_normal(shape) + 1j * standard_normal(shape), or of out's shape into out.
+
+    The same draws and bits as that sum, with no complex temporary.  Above
+    TRIAL_BLOCK values each part is drawn in chunks of TRIAL_BLOCK, which give
+    the generator's normals in the same order, so no real temporary of the
+    whole array is made either (8 MiB for a 1024 x 1024 draw).  ``out`` must
+    be C-contiguous.
+    """
+    z = np.empty(shape, dtype=complex) if out is None else out
+    if z.size <= TRIAL_BLOCK:
+        z.real = rng.standard_normal(z.shape)
+        z.imag = rng.standard_normal(z.shape)
+        return z
+    flat = z.reshape(-1)
+    for part in (flat.real, flat.imag):
+        for start in range(0, flat.size, TRIAL_BLOCK):
+            chunk = part[start:start + TRIAL_BLOCK]
+            chunk[...] = rng.standard_normal(chunk.size)
+    return z
 
 
 def _over_blocks(trials: int, per_trial: int, row) -> list[float]:
@@ -396,14 +405,49 @@ def rep_checks(grid_size: int = 16, helicity: int = 1, trials: int = 100,
     return results
 
 
-# A bell-check block keeps at most three dense complex N x N matrices per
-# trial alive, and from N = 46 on a block is one trial: 50.6 MB traced peak
-# (tracemalloc) at N = 1024, fourfold per doubling, so about 202 MB at
-# N = 2048.  At N = 8 a block holds 64 trials and the suite peaks at 0.45 MB.
+# bell_checks forms a1 @ a2 over a2, this many columns at a time, so the
+# product needs one N x 256 copy of a2's columns beyond the two factors (a
+# quarter matrix at N = 1024).  Narrower blocks save little more memory, and
+# at widths 64 and 128 a two-column tail (N = 130) changed the bits of the
+# multithreaded OpenBLAS product; 256 matched a1 @ a2 bit for bit at every N
+# from 2 to 559 and at 14 larger N up to 2048, on one thread and on two.
+PRODUCT_COLUMNS = 256
+
+
+def _product_into(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """b = a @ b over stacks of square matrices, computed into b column block by column block.
+
+    A one-column tail joins the block before it: a single column goes to
+    BLAS's matrix-vector kernel, whose bits differ from the full product's.
+    """
+    n = b.shape[-1]
+    edges = [*range(0, n, PRODUCT_COLUMNS), n]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    for lo, hi in zip(edges, edges[1:]):
+        columns = b[..., lo:hi]
+        np.matmul(a, columns.copy(), out=columns)
+    return b
+
+
+# A bell-check block keeps two dense complex N x N matrices per trial alive,
+# plus one N x PRODUCT_COLUMNS block, and its dense draws make no temporary of
+# a matrix's size; from N = 46 on a block is one trial.  Traced peak
+# (tracemalloc): 36.2 MiB at N = 1024 (2.26 matrices of 16 MiB) and 136.4 MiB
+# at N = 2048 (2.13 matrices of 64 MiB).  At N = 8 a block holds 64 trials and
+# the suite peaks at 0.35 MB.
 BELL_MAX_GRID_SIZE = 2048
 
 
 def bell_checks(grid_size: int = 8, trials: int = 100, seed: int = 0) -> list[CheckResult]:
+    """Dictionary invariants on omega_i = 1.25**i with N = grid_size points.
+
+    The two dense rows run over blocks of max(1, TRIAL_BLOCK // N^2) trials,
+    drawn trial by trial and evaluated as one stack.  Per trial the dictionary
+    row keeps two dense N x N matrices and one N x PRODUCT_COLUMNS block: A1 A2
+    is formed over A2 and the adjoint uses A1 conjugated in place.  Traced
+    peak: 36.2 MiB at N = 1024 and 136.4 MiB at N = 2048, the cap.
+    """
     if grid_size < 1:
         raise ValueError(f"grid size must be positive, got {grid_size}")
     if grid_size > BELL_MAX_GRID_SIZE:
@@ -424,22 +468,21 @@ def bell_checks(grid_size: int = 8, trials: int = 100, seed: int = 0) -> list[Ch
                 rng.standard_normal(out=d1[t])
                 rng.standard_normal(out=d2[t])
                 for z in (a1, a2, b1, b2):
-                    _fill_complex_normal(rng, z[t])
+                    _complex_normal(rng, out=z[t])
             s1, s2 = _doublets(grid, d1), _doublets(grid, d2)
             iso = _dist(doublet._cabs(doublet._vdot(qubit.sector_isometry(s1),
                                                     qubit.sector_isometry(s2))
                                       - doublet._vdot(s1.amps, s2.amps)))
-            # at most three dense N x N matrices per trial live at once (a1, a2 and
-            # a1 @ a2): a2 goes before the adjoint is built, a1 before the identity
+            # two dense N x N matrices per trial live at once, a1 and a2, plus
+            # one column block of a2: a2 becomes a1 @ a2, then a1 its conjugate
             op = qubit.iota(a1, b1)
             left = qubit.apply_block(op, qubit.apply_block(qubit.iota(a2, b2), s1))
-            right = qubit.apply_block(qubit.iota(a1 @ a2, b1 @ b2), s1)
-            del a2
-            # adjoint: <s2, iota(A x B) s1> = <iota(A^H x B^H) s2, s1>
             forward = qubit.apply_block(op, s1)
-            adj = qubit.apply_block(qubit.iota(np.swapaxes(a1.conj(), -1, -2),
+            right = qubit.apply_block(qubit.iota(_product_into(a1, a2), b1 @ b2), s1)
+            # adjoint: <s2, iota(A x B) s1> = <iota(A^H x B^H) s2, s1>
+            adj = qubit.apply_block(qubit.iota(np.swapaxes(np.conjugate(a1, out=a1), -1, -2),
                                                np.swapaxes(b1.conj(), -1, -2)), s2)
-            del a1, op
+            del a1, a2, op
             unit = qubit.apply_block(qubit.iota(np.eye(n, dtype=complex), qubit.ID2), s1)
             yield [iso, _dist([_dist(unit.amps, s1.amps), _dist(left.amps, right.amps),
                                _dist(doublet._cabs(doublet._vdot(s2.amps, forward.amps)
@@ -454,8 +497,8 @@ def bell_checks(grid_size: int = 8, trials: int = 100, seed: int = 0) -> list[Ch
             b = np.empty((size, 2, 2), dtype=complex)
             for t in range(size):
                 rng.standard_normal(out=d[t])
-                _fill_complex_normal(rng, a[t])
-                _fill_complex_normal(rng, b[t])
+                _complex_normal(rng, out=a[t])
+                _complex_normal(rng, out=b[t])
             yield [_dist(qubit.expectation_equality(_doublets(grid, d), a, b)[2])]
     dev, = _over_blocks(trials, n * n, expectations)
     results.append(_result("expectations agree on both sides of the dictionary", dev, 1e-10))

@@ -176,6 +176,9 @@ def _cmd_experiment(args) -> int:
     if args.subcommand == "sweep":
         if args.points < 1:
             raise ValueError(f"points must be at least 1, got {args.points}")
+        if args.points > experiment.MAX_SWEEP_POINTS:
+            raise ValueError(f"points must be at most {experiment.MAX_SWEEP_POINTS}, "
+                             f"got {args.points}")
         for name in ("start", "stop"):
             if not math.isfinite(getattr(args, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(args, name)!r}")

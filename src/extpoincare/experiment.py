@@ -224,6 +224,13 @@ class SweepRow:
     expected: float | None
 
 
+# A sweep keeps every row until its CSV and fit are written, about 0.8 kB per
+# point: 10^5 points traced 82 MB and took 30 s on a shared 2-vCPU host.  The
+# CLI refuses more, so a huge --points exits 2 naming the field instead of
+# growing until the process is killed for memory.
+MAX_SWEEP_POINTS = 100_000
+
+
 def sweep_phase(phis: Sequence[float], config: ExperimentConfig) -> list[SweepRow]:
     """Run one tally per phase, point j on its own stream."""
     if len(phis) == 0:

@@ -20,12 +20,18 @@ def _traced_peak(fn, *args) -> int:
 
 
 def test_complex_draw_matches_the_sum_of_two_normal_draws_bit_for_bit():
+    # below, at and above TRIAL_BLOCK values, where each part is drawn in chunks
     rng, twin = np.random.default_rng(5), np.random.default_rng(5)
-    for shape in (7, (2, 2), (33, 33)):
-        got = checks._complex_normal(rng, shape)
-        want = twin.standard_normal(shape) + 1j * twin.standard_normal(shape)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    block = checks.TRIAL_BLOCK
+    for shape in ((7,), (2, 2), (33, 33), (block,), (2, block // 2), (block + 1,),
+                  (3, 65, 64), (300, 300)):
+        stacked = np.empty((2, *shape), dtype=complex)
+        for got in (checks._complex_normal(rng, shape),
+                    checks._complex_normal(rng, out=stacked[1])):
+            want = twin.standard_normal(shape) + 1j * twin.standard_normal(shape)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.shares_memory(got, stacked)
     assert rng.standard_normal() == twin.standard_normal()
 
 
@@ -74,9 +80,27 @@ def test_rep_checks_hold_about_27_grid_vectors():
     assert _traced_peak(checks.rep_checks, n, 1, 3, 0) <= 28 * 16 * n
 
 
-def test_bell_checks_keep_at_most_three_dense_matrices():
-    n = 256
-    assert _traced_peak(checks.bell_checks, n, 2, 0) <= 3.5 * 16 * n * n
+# a1 @ a2 formed over a2 in column blocks keeps the bits of the full product;
+# W + 1 and 2W + 1 leave a one-column tail, which joins the block before it
+W = checks.PRODUCT_COLUMNS
+
+
+@pytest.mark.parametrize("stack", [(), (2,)])
+@pytest.mark.parametrize("n", [8, 46, W + 1, W + 2, 2 * W + 1, 1024])
+def test_blocked_product_equals_the_full_product_bit_for_bit(n, stack):
+    rng = np.random.default_rng(n)
+    a, b = (checks._complex_normal(rng, stack + (n, n)) for _ in range(2))
+    want = a @ b
+    got = checks._product_into(a, b)
+    assert got is b
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_bell_checks_keep_two_dense_matrices_and_a_column_block():
+    # 2.42 matrices traced at N = 640: a1, a2 and one N x W copy of a2's columns
+    n = 640
+    assert n > W
+    assert _traced_peak(checks.bell_checks, n, 2, 0) <= 2.5 * 16 * n * n
 
 
 def test_group_checks_peak_does_not_grow_with_samples():

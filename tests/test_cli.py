@@ -506,6 +506,18 @@ def test_experiment_sweep_rejects_bad_ranges_naming_the_flag(flags, field, capsy
     assert captured.out == ""
 
 
+def test_experiment_sweep_refuses_points_past_the_cap_before_sweeping(monkeypatch, capsys):
+    def no_sweep(phis, config):
+        raise AssertionError("the sweep started")
+    monkeypatch.setattr(experiment, "sweep_phase", no_sweep)
+    points = experiment.MAX_SWEEP_POINTS + 1
+    assert run_cli(["experiment", "sweep", "--points", str(points)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: points must be at most {experiment.MAX_SWEEP_POINTS}, "
+                            f"got {points}\n")
+    assert captured.out == ""
+
+
 def test_experiment_config_file_rejects_bools(tmp_path, capsys):
     for key in ("trials", "seed"):
         config = tmp_path / f"{key}.json"
