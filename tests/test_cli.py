@@ -223,7 +223,8 @@ def test_rep_check_notes_the_rows_without_a_boost(capsys):
     assert not any(c["note"] for c in json.loads(capsys.readouterr().out)["checks"])
 
 
-# 2**50 points: numpy refuses the 8 PiB array before allocating anything
+# 2**50 points stop at experiment.MAX_SWEEP_POINTS, and a 2**50 grid at numpy's
+# refusal of the 8 PiB array; neither allocates anything
 @pytest.mark.parametrize("argv", [["experiment", "sweep", "--points", str(2 ** 50)],
                                   ["rep-check", "--grid-size", str(2 ** 50)]])
 def test_a_size_too_large_to_allocate_exits_2(capsys, argv):
