@@ -99,6 +99,15 @@ GOLDEN = {
         "4fc85e182545f903d8cfcc3c9770a1c2119feb915c0bd6abad160149cc899aee",
     "group-check --samples 5000 --seed 2":
         "3c1b44f933e334b19ffc0248f8da015d0ee97fad00ce5bd843e0e5807fba37ab",
+    # block edges: 4096 + 4096 + 1 samples, one sample, 256 + 1 and 64 + 64 + 1 trials
+    "group-check --convention coordinate --samples 8193 --seed 3":
+        "a286dbe623e62d98589507fc1df9cc0ee6a508e2b5706b535b6d73c8162738f5",
+    "group-check --samples 1 --seed 0":
+        "2bae4d476f399df0987c330164e03ca555be4fb400cc4293570ee87490befc36",
+    "rep-check --trials 257 --seed 2":
+        "ae1d53adac9bdf528bf303b4aa97ff634ed6c2452ee960ac01b6ea3f552463bb",
+    "bell-check --trials 129 --seed 2":
+        "1e877a722d74057d4aabff219e52310019756feb4275c672cdf0ed26a8683c42",
     "rep-check --grid-size 4096 --trials 20 --seed 0":
         "76a7dfd0d0d7cc50cb63a6f0cc8de1f77695014395c076b2bea3c34ca47d25b5",
     "rep-check --grid-size 4096 --trials 20 --seed 1":
