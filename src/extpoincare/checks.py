@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial, reduce
 
 import numpy as np
 
@@ -41,43 +42,93 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _element_gap(g: group.ExtPoincareElement, h: group.ExtPoincareElement) -> float:
-    """Max entrywise distance between (stacks of) group elements, both parts."""
-    return _dist([_dist(g.linear, h.linear), _dist(g.translation, h.translation)])
+def _trial_gap(a, b=0.0) -> np.ndarray:
+    """Per-trial max entrywise |a - b| over every axis after the first; a NaN stays."""
+    gap = np.abs(np.subtract(a, b))
+    return gap.max(axis=tuple(range(1, gap.ndim)))
 
 
-def _relative_gap(g: group.ExtPoincareElement, h: group.ExtPoincareElement) -> float:
-    """Worst per-sample entrywise |g - h|, both parts, over 1 + that sample's largest |g| entry.
+def _element_gap(g: group.ExtPoincareElement, h: group.ExtPoincareElement) -> np.ndarray:
+    """Per-sample max entrywise distance between (stacks of) group elements, both parts."""
+    return np.maximum(np.abs(g.linear - h.linear).max(axis=(-2, -1)),
+                      np.abs(g.translation - h.translation).max(axis=-1))
+
+
+def _relative_gap(g: group.ExtPoincareElement, h: group.ExtPoincareElement) -> np.ndarray:
+    """Per-sample entrywise |g - h|, both parts, over 1 + that sample's largest |g| entry.
 
     Rounding in a product grows with its entries: a correct product with an
     entry near 1e4 misses an absolute 1e-12 by about one ulp of that entry.
     """
     def largest(linear, translation):
         return np.maximum(np.abs(linear).max(axis=(-2, -1)), np.abs(translation).max(axis=-1))
-    return _dist(largest(g.linear - h.linear, g.translation - h.translation)
-                 / (1.0 + largest(g.linear, g.translation)))
+    return (largest(g.linear - h.linear, g.translation - h.translation)
+            / (1.0 + largest(g.linear, g.translation)))
 
 
-# group_checks draws and evaluates its sampled invariants in blocks of this
-# many samples, about 12 MB of stacked arrays (2.9 kB per sample under
-# tracemalloc), so the peak is the same for any --samples.  Up to one block
-# the draws are exactly those of a single stacked pass.
-GROUP_BLOCK = 4096
+# Every sampled row runs over blocks of trials (samples in group_checks) of
+# max(1, TRIAL_BLOCK // per_trial) trials, per_trial being a trial's lattice
+# points N (rep_checks), matrix entries N^2 (bell_checks) or 1 (group_checks,
+# about 12 MB a block at 2.9 kB per sample).  So a row's peak does not grow
+# with the trial count, and from N = 2049 (rep) and N = 46 (bell) on a block
+# is one trial.
+TRIAL_BLOCK = 4096
 
-# The group_checks rows that count failing samples; every other row is a deviation.
-ORBIT_CLASS_ROW = "orbit class invariant under the identity component"
-TIMELIKE_MERGE_ROW = "timelike orbit merges with both massive classes and tachyonic"
-COUNT_ROWS = (ORBIT_CLASS_ROW, TIMELIKE_MERGE_ROW)
+
+def _sampled_rows(rows, trials: int, per_trial: int, evaluate,
+                  quantities=()) -> list[CheckResult]:
+    """One CheckResult per (name, tolerance, note) in rows, over blocks of trials.
+
+    Each quantity (shape, dtype, draw) gets a buffer with one slot of that
+    shape per trial of a block, and each trial fills its slots in the
+    declared order by draw(out=slot), so no result depends on the block size.
+    evaluate(blocks) takes the blocks as (count, *buffers) and yields, per
+    block, one array per row with one value per trial: a deviation, of which
+    the row keeps the worst (a NaN wins), or a failure flag, which it counts.
+
+    evaluate is a generator, so a block's arrays are freed only as the next
+    block's replace them.  Freed all at once at the end of each block, they
+    let malloc hand the top of the heap back to the system, and the next
+    block faults it in again: in a fresh process that cost
+    rep_checks(4096, 1, 20) about 10k page faults against about 1k.  No
+    reference to a block's buffers is kept here, so evaluate can free one
+    early.
+    """
+    size = max(1, TRIAL_BLOCK // per_trial)
+    draws = [draw for _, _, draw in quantities]
+
+    def block(count):
+        buffers = [np.empty((count, *shape), dtype) for shape, dtype, _ in quantities]
+        fills = list(zip(draws, buffers))
+        for t in range(count):
+            for draw, buffer in fills:
+                draw(out=buffer[t])
+        return count, *buffers
+
+    worst = [0.0] * len(rows)
+    for values in evaluate(block(min(size, trials - start)) for start in range(0, trials, size)):
+        for i, v in enumerate(values):
+            worst[i] = (worst[i] + np.count_nonzero(v) if v.dtype == bool
+                        else v.max(initial=worst[i]))
+    return [_result(name, float(dev), tolerance, note)
+            for (name, tolerance, note), dev in zip(rows, worst)]
+
 
 # The orbit-class row counts only samples with |eta(p,p)| above this times
 # max(|p|^2, |Lambda p|^2): the lightlike band scales with the Euclidean norm,
 # which a boost changes.  Fixed at import, so a wider band still fails the row.
 ORBIT_CLEAR = 2 * group.LIGHTLIKE_BAND
+ORBIT_CLASS_ROW = "orbit class invariant under the identity component"
 
 
 def group_checks(convention: str = "momentum", samples: int = 100,
                  seed: int = 0) -> list[CheckResult]:
-    """Group invariants, each evaluated as stacked arrays over blocks of GROUP_BLOCK samples."""
+    """Group invariants, each evaluated as stacked arrays over blocks of samples.
+
+    Each sampled row runs over blocks of max(1, TRIAL_BLOCK // 1) = 4096
+    samples.  A block draws every row's samples in turn, row by row, so up to
+    one block the draws are those of a single stacked pass.
+    """
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
     rng = _rng(seed)
@@ -86,27 +137,25 @@ def group_checks(convention: str = "momentum", samples: int = 100,
     m = group.make_lambda_inf(thetas, phis, convention)
     involution = _result("involution squares to identity (10x10 angle grid)",
                          _dist(m @ m, group.ID4), 1e-12)
-
-    rows = _group_block(rng, convention, min(samples, GROUP_BLOCK))
-    for start in range(GROUP_BLOCK, samples, GROUP_BLOCK):
-        block = _group_block(rng, convention, min(samples - start, GROUP_BLOCK))
-        rows = [_fold(r, b) for r, b in zip(rows, block)]
-    return [involution] + rows
-
-
-def _fold(r: CheckResult, b: CheckResult) -> CheckResult:
-    """One group_checks row over two blocks: failure counts add, deviations keep the max."""
-    if r.name in COUNT_ROWS:
-        dev = r.max_deviation + b.max_deviation
+    if convention == "momentum":
+        cone = ("aligned representative maps to its negative", 1e-12, "")
     else:
-        dev = _dist([r.max_deviation, b.max_deviation])
-    return _result(r.name, dev, r.tolerance, r.note)
+        cone = ("aligned representative is fixed", 1e-12,
+                "cone-swap check skipped under the coordinate convention")
+    rows = [cone,
+            ("product associativity", 1e-12,
+             "deviation relative to 1 + the product's largest entry"),
+            ("two-sided inverses", 1e-12, ""),
+            ("alpha_z is involutive for every z", 1e-12, ""),
+            (ORBIT_CLASS_ROW, 0.0, ""),
+            ("pairing flips sign on the time-direction plane", 1e-12, ""),
+            ("timelike orbit merges with both massive classes and tachyonic", 0.0, "")]
+    return [involution] + _sampled_rows(
+        rows, samples, 1, lambda blocks: (_group_block(rng, convention, n) for n, in blocks))
 
 
-def _group_block(rng: np.random.Generator, convention: str, samples: int) -> list[CheckResult]:
-    """The sampled group_checks rows on one block of samples, drawn check by check."""
-    results = []
-
+def _group_block(rng: np.random.Generator, convention: str, samples: int) -> list[np.ndarray]:
+    """Each sampled group_checks row's per-sample values on one block, drawn row by row."""
     def angles():
         return rng.uniform(0, np.pi, samples), rng.uniform(0, 2 * np.pi, samples)
 
@@ -118,38 +167,28 @@ def _group_block(rng: np.random.Generator, convention: str, samples: int) -> lis
     th, ph = angles()
     p0 = group.lightlike_representative(rng.uniform(0.5, 2.0, samples), th, ph)
     image = group.act(group.make_lambda_inf(th, ph, convention), p0)
-    if convention == "momentum":
-        results.append(_result("aligned representative maps to its negative",
-                               _dist(image, -p0), 1e-12))
-    else:
-        results.append(_result("aligned representative is fixed", _dist(image, p0), 1e-12,
-                               note="cone-swap check skipped under the coordinate convention"))
+    cone = _trial_gap(image, -p0 if convention == "momentum" else p0)
 
     # rapidity capped at 2: the round trip rounds at eps * cond(M)
     g1, g2, g3 = elements(2.0), elements(2.0), elements(2.0)
     left = group.poincare_mul(group.poincare_mul(g1, g2), g3)
     right = group.poincare_mul(g1, group.poincare_mul(g2, g3))
-    results.append(_result("product associativity", _relative_gap(left, right), 1e-12,
-                           note="deviation relative to 1 + the product's largest entry"))
     gi = group.poincare_mul(g1, group.poincare_inverse(g1))
-    results.append(_result("two-sided inverses", _element_gap(gi, group.poincare_identity()),
-                           1e-12))
+    inverse = _element_gap(gi, group.poincare_identity())
 
     zs = group.z_set(0.3, 1.1, convention)[:, None]
     n = elements()
     try:
-        gap = _element_gap(group.alpha_z(zs, group.alpha_z(zs, n)), n)
+        involutive = _element_gap(group.alpha_z(zs, group.alpha_z(zs, n)), n).max(axis=0)
     except ValueError:  # alpha_z rejects a z that is no involution: a FAIL, not an input error
-        gap = math.nan
-    results.append(_result("alpha_z is involutive for every z", gap, 1e-12))
+        involutive = np.full(samples, math.nan)
 
     p = rng.uniform(-2, 2, (samples, 4))
     lam = group.random_proper_orthochronous(rng, size=samples)
     moved = group.act(lam, p)
     clear = (np.abs(group.minkowski(p, p))
              > ORBIT_CLEAR * np.maximum(np.sum(p * p, axis=-1), np.sum(moved * moved, axis=-1)))
-    bad = np.count_nonzero(clear & (group.classify_orbit(moved) != group.classify_orbit(p)))
-    results.append(_result(ORBIT_CLASS_ROW, float(bad), 0.0))
+    orbit_moved = clear & (group.classify_orbit(moved) != group.classify_orbit(p))
 
     th, ph = angles()
     li = group.make_lambda_inf(th, ph, convention)
@@ -159,8 +198,6 @@ def _group_block(rng: np.random.Generator, convention: str, samples: int) -> lis
     u = c[0] * e_t + c[1] * e_n
     v = c[2] * e_t + c[3] * e_n
     flip = group.minkowski(group.act(li, u), group.act(li, v)) + group.minkowski(u, v)
-    results.append(_result("pairing flips sign on the time-direction plane", _dist(flip),
-                           1e-12))
 
     spatial = rng.uniform(-2, 2, (samples, 3))
     p0 = np.linalg.norm(spatial, axis=-1) + rng.uniform(0.1, 2.0, samples)
@@ -170,8 +207,8 @@ def _group_block(rng: np.random.Generator, convention: str, samples: int) -> lis
                       for wanted in (group.OrbitClass.MASSIVE_FORWARD,
                                      group.OrbitClass.MASSIVE_BACKWARD,
                                      group.OrbitClass.TACHYONIC)], axis=0)
-    results.append(_result(TIMELIKE_MERGE_ROW, float(np.count_nonzero(~covered)), 0.0))
-    return results
+    return [cone, _relative_gap(left, right), inverse, involutive, orbit_moved, np.abs(flip),
+            ~covered]
 
 
 def ad_eta_table(convention: str = "momentum", seed: int = 0) -> list[dict]:
@@ -224,15 +261,6 @@ def _random_doublet(rng: np.random.Generator, grid: doublet.FrequencyGrid,
     return _doublets(grid, rng.standard_normal((2, 2, grid.count)), interior)
 
 
-# rep_checks and bell_checks evaluate each row over blocks of trials at once.
-# A block holds at most this many lattice points (trials * N) in rep_checks
-# and matrix entries (trials * N^2) in bell_checks, and at least one trial:
-# one trial from N = 2049 (rep) and N = 46 (bell) on, so their peaks there
-# are those of a single trial.  Each trial draws its quantities in turn, into
-# the block's buffers, so the results do not depend on the block size.
-TRIAL_BLOCK = 4096
-
-
 def _complex_normal(rng: np.random.Generator, shape=None, out=None) -> np.ndarray:
     """standard_normal(shape) + 1j * standard_normal(shape), or of out's shape into out.
 
@@ -255,22 +283,6 @@ def _complex_normal(rng: np.random.Generator, shape=None, out=None) -> np.ndarra
     return z
 
 
-def _over_blocks(trials: int, per_trial: int, row) -> list[float]:
-    """The deviations row(sizes) yields per block of trials, each worst over the blocks.
-
-    The blocks hold max(1, TRIAL_BLOCK // per_trial) trials, the last one
-    what remains of `trials`.  A row is a generator, so a block's arrays
-    are freed only as the next block's replace them.  Freed all at once at
-    the end of each block, they let malloc hand the top of the heap back to
-    the system, and the next block faults it in again: in a fresh process
-    that cost rep_checks(4096, 1, 20) 10.8k page faults and about 20% of its
-    time.
-    """
-    size = max(1, TRIAL_BLOCK // per_trial)
-    blocks = list(row([min(size, trials - start) for start in range(0, trials, size)]))
-    return [_dist(devs) for devs in zip(*blocks)]
-
-
 # Note for the rep_checks rows that draw boosts: at N <= 4 the padding leaves
 # no interior to shift into, so every drawn boost is the identity.
 NO_BOOST_NOTE = "no boost exercised: a grid of 4 or fewer points has no room to shift"
@@ -287,12 +299,12 @@ def rep_checks(grid_size: int = 16, helicity: int = 1, trials: int = 100,
     """Doublet invariants on omega_i = ratio**i, ratio = min(1.25, OMEGA_TOP**(1/(N-1))).
 
     Grids up to N = 31 keep ratio 1.25; larger ones are squeezed so the top
-    frequency stays at OMEGA_TOP.  Each row runs over blocks of
+    frequency stays at OMEGA_TOP.  Each sampled row runs over blocks of
     max(1, TRIAL_BLOCK // N) trials, drawn trial by trial and evaluated as
-    one stack.  A row holds about 15 complex vectors of a block's trials * N
-    lattice points, the previous block's draws and states included (0.99 MB
-    traced at N = 4096, one trial per block, and at most 1.1 MB at any
-    smaller N), and nothing survives the row.
+    one stack.  A row holds its block's draws and about 15 complex vectors of
+    a block's trials * N lattice points while it evaluates (0.99 MB traced at
+    N = 4096, one trial per block, and at most 1.1 MB at any smaller N), and
+    nothing survives the row.
     """
     if grid_size < 1:
         raise ValueError(f"grid size must be positive, got {grid_size}")
@@ -306,91 +318,74 @@ def rep_checks(grid_size: int = 16, helicity: int = 1, trials: int = 100,
     max_steps = min(3, (grid_size - 1) // 4)
     n = grid_size
     boost_note = "" if max_steps else NO_BOOST_NOTE
-    results = []
+    normals = ((2, 2, n), float, rng.standard_normal)
+
+    def draw_operators(out):
+        """One trial's operator draws: translation, rotation angle, boost in lattice steps."""
+        out[:4] = rng.uniform(-3, 3, 4)
+        out[4] = rng.uniform(-np.pi, np.pi)
+        out[5] = rng.integers(-max_steps, max_steps + 1)
 
     def draw_axial(out):
         """One axial element's draws: translation, boost in lattice steps, rotation."""
         out[:4] = rng.uniform(-2, 2, 4)
         out[4] = rng.integers(-max_steps, max_steps + 1)
         out[5] = rng.uniform(-np.pi, np.pi)
+    axial = ((6,), float, draw_axial)
 
     def axial_elements(draws):
         return doublet.AxialElement(draws[..., :4], draws[..., 4] * step, draws[..., 5])
 
-    def states(size):
-        normals = np.empty((size, 2, 2, n))
-        for t in range(size):
-            rng.standard_normal(out=normals[t])
-        return _doublets(grid, normals)
-
-    def unitarity(sizes):
-        for size in sizes:
-            normals, a, alpha, k = (np.empty((size, 2, 2, n)), np.empty((size, 4)),
-                                    np.empty(size), np.empty(size))
-            for t in range(size):
-                rng.standard_normal(out=normals[t])
-                a[t] = rng.uniform(-3, 3, 4)
-                alpha[t] = rng.uniform(-np.pi, np.pi)
-                k[t] = rng.integers(-max_steps, max_steps + 1)
+    def unitarity(blocks):
+        for _, normals, ops in blocks:
             s = _doublets(grid, normals, max_steps)
             s_norm = s.norm()
-            yield [_dist([_dist(op_state.norm(), s_norm) for op_state in (
-                doublet.apply_translation(s, a),
-                doublet.apply_axial_rotation(s, alpha),
-                doublet.apply_axial_boost(s, k * step),
+            yield [reduce(np.maximum, [np.abs(op_state.norm() - s_norm) for op_state in (
+                doublet.apply_translation(s, ops[:, :4]),
+                doublet.apply_axial_rotation(s, ops[:, 4]),
+                doublet.apply_axial_boost(s, ops[:, 5] * step),
                 doublet.apply_u_lambda_inf(s),
                 doublet.apply_u_minus_i(s))])]
-    dev, = _over_blocks(trials, n, unitarity)
-    results.append(_result("unitarity of every representation operator", dev, 1e-12, boost_note))
+    results = _sampled_rows([("unitarity of every representation operator", 1e-12, boost_note)],
+                            trials, n, unitarity, (normals, ((6,), float, draw_operators)))
 
-    def involutions(sizes):
-        for size in sizes:
-            s = states(size)
+    def involutions(blocks):
+        for _, normals in blocks:
+            s = _doublets(grid, normals)
             twice = [doublet.apply_u_lambda_inf(doublet.apply_u_lambda_inf(s, eps), eps)
                      for eps in (1, -1)]
             twice.append(doublet.apply_u_minus_i(doublet.apply_u_minus_i(s)))
-            yield [_dist([_dist(t.amps, s.amps) for t in twice])]
-    dev, = _over_blocks(trials, n, involutions)
-    results.append(_result("sector swap and momentum reversal are involutions", dev, 0.0))
+            yield [_trial_gap(reduce(np.maximum, [np.abs(t.amps - s.amps) for t in twice]))]
+    results += _sampled_rows([("sector swap and momentum reversal are involutions", 0.0, "")],
+                             trials, n, involutions, (normals,))
 
-    def homomorphism(sizes):
-        for size in sizes:
-            normals, g = np.empty((size, 2, 2, n)), np.empty((size, 2, 6))
-            for t in range(size):
-                rng.standard_normal(out=normals[t])
-                draw_axial(g[t, 0])
-                draw_axial(g[t, 1])
+    def homomorphism(blocks):
+        for _, normals, g1, g2 in blocks:
             s = _doublets(grid, normals, 2 * max_steps)
-            g1, g2 = axial_elements(g[:, 0]), axial_elements(g[:, 1])
+            g1, g2 = axial_elements(g1), axial_elements(g2)
             left = doublet.apply_axial(doublet.apply_axial(s, g2), g1)
             right = doublet.apply_axial(s, doublet.axial_product(grid, g1, g2))
-            yield [_dist(left.amps, right.amps)]
-    dev, = _over_blocks(trials, n, homomorphism)
-    results.append(_result("axial subgroup homomorphism", dev, 1e-10, boost_note))
+            yield [_trial_gap(left.amps, right.amps)]
+    results += _sampled_rows([("axial subgroup homomorphism", 1e-10, boost_note)],
+                             trials, n, homomorphism, (normals, axial, axial))
 
-    def covariance(sizes):
-        for size in sizes:
-            normals, g = np.empty((size, 2, 2, n)), np.empty((size, 6))
-            for t in range(size):
-                rng.standard_normal(out=normals[t])
-                draw_axial(g[t])
-            s = _doublets(grid, normals, max_steps)
-            g = axial_elements(g)
-            yield [_dist([doublet.check_covariance(s, g, "lambda-inf"),
-                           doublet.check_covariance(s, g, "minus-i")])]
-    dev, = _over_blocks(trials, n, covariance)
-    results.append(_result("covariance under both discrete conjugations", dev, 1e-10,
-                           boost_note))
+    def covariance(blocks):
+        for _, normals, g in blocks:
+            s, g = _doublets(grid, normals, max_steps), axial_elements(g)
+            yield [np.maximum(doublet.check_covariance(s, g, "lambda-inf"),
+                              doublet.check_covariance(s, g, "minus-i"))]
+    results += _sampled_rows([("covariance under both discrete conjugations", 1e-10, boost_note)],
+                             trials, n, covariance, (normals, axial))
 
     # s is the eigenstate (c+, c+)/sqrt(2) plus the eigenstate (c-, -c-)/sqrt(2)
-    def decomposition(sizes):
-        for size in sizes:
-            s = states(size)
+    def decomposition(blocks):
+        for _, normals in blocks:
+            s = _doublets(grid, normals)
             c_plus, c_minus = doublet.epsilon_components(s)
             plus, minus = c_plus / doublet.SQRT2, c_minus / doublet.SQRT2
-            yield [_dist(np.stack([plus + minus, plus - minus], axis=-2), s.amps)]
-    dev, = _over_blocks(trials, n, decomposition)
-    results.append(_result("per-point decomposition into swap eigenstates", dev, 1e-12))
+            yield [_trial_gap(np.stack([plus + minus, plus - minus], axis=-2), s.amps)]
+    results += _sampled_rows([("per-point decomposition into swap eigenstates", 1e-12, "")],
+                             trials, n, decomposition, (normals,))
 
     # U(lambda_inf) with eigenvalue eps' scales an eps-labelled eigenstate by eps * eps'
     devs = []
@@ -457,22 +452,15 @@ def bell_checks(grid_size: int = 8, trials: int = 100, seed: int = 0) -> list[Ch
     rng = _rng(seed)
     grid = doublet.FrequencyGrid(1.0, 1.25, grid_size)
     n = grid_size
-    results = []
+    normals = ((2, 2, n), float, rng.standard_normal)
+    dense = ((n, n), complex, partial(_complex_normal, rng))
+    factor = ((2, 2), complex, partial(_complex_normal, rng))
 
-    def dictionary(sizes):
-        for size in sizes:
-            d1, d2 = np.empty((size, 2, 2, n)), np.empty((size, 2, 2, n))
-            a1, a2 = np.empty((size, n, n), dtype=complex), np.empty((size, n, n), dtype=complex)
-            b1, b2 = np.empty((size, 2, 2), dtype=complex), np.empty((size, 2, 2), dtype=complex)
-            for t in range(size):
-                rng.standard_normal(out=d1[t])
-                rng.standard_normal(out=d2[t])
-                for z in (a1, a2, b1, b2):
-                    _complex_normal(rng, out=z[t])
+    def dictionary(blocks):
+        for _, d1, d2, a1, a2, b1, b2 in blocks:
             s1, s2 = _doublets(grid, d1), _doublets(grid, d2)
-            iso = _dist(doublet._cabs(doublet._vdot(qubit.sector_isometry(s1),
-                                                    qubit.sector_isometry(s2))
-                                      - doublet._vdot(s1.amps, s2.amps)))
+            iso = doublet._cabs(doublet._vdot(qubit.sector_isometry(s1), qubit.sector_isometry(s2))
+                                - doublet._vdot(s1.amps, s2.amps))
             # two dense N x N matrices per trial live at once, a1 and a2, plus
             # one column block of a2: a2 becomes a1 @ a2, then a1 its conjugate
             op = qubit.iota(a1, b1)
@@ -484,24 +472,20 @@ def bell_checks(grid_size: int = 8, trials: int = 100, seed: int = 0) -> list[Ch
                                                np.swapaxes(b1.conj(), -1, -2)), s2)
             del a1, a2, op
             unit = qubit.apply_block(qubit.iota(np.eye(n, dtype=complex), qubit.ID2), s1)
-            yield [iso, _dist([_dist(unit.amps, s1.amps), _dist(left.amps, right.amps),
-                               _dist(doublet._cabs(doublet._vdot(s2.amps, forward.amps)
-                                                   - doublet._vdot(adj.amps, s1.amps)))])]
-    iso, dev = _over_blocks(trials, n * n, dictionary)
-    results.append(_result("sector isometry preserves inner products", iso, 1e-12))
-    results.append(_result("observable embedding is a unital *-homomorphism", dev, 1e-10))
+            yield [iso, reduce(np.maximum, [
+                _trial_gap(unit.amps, s1.amps), _trial_gap(left.amps, right.amps),
+                doublet._cabs(doublet._vdot(s2.amps, forward.amps)
+                              - doublet._vdot(adj.amps, s1.amps))])]
+    results = _sampled_rows([("sector isometry preserves inner products", 1e-12, ""),
+                             ("observable embedding is a unital *-homomorphism", 1e-10, "")],
+                            trials, n * n, dictionary,
+                            (normals, normals, dense, dense, factor, factor))
 
-    def expectations(sizes):
-        for size in sizes:
-            d, a = np.empty((size, 2, 2, n)), np.empty((size, n, n), dtype=complex)
-            b = np.empty((size, 2, 2), dtype=complex)
-            for t in range(size):
-                rng.standard_normal(out=d[t])
-                _complex_normal(rng, out=a[t])
-                _complex_normal(rng, out=b[t])
-            yield [_dist(qubit.expectation_equality(_doublets(grid, d), a, b)[2])]
-    dev, = _over_blocks(trials, n * n, expectations)
-    results.append(_result("expectations agree on both sides of the dictionary", dev, 1e-10))
+    def expectations(blocks):
+        for _, d, a, b in blocks:
+            yield [qubit.expectation_equality(_doublets(grid, d), a, b)[2]]
+    results += _sampled_rows([("expectations agree on both sides of the dictionary", 1e-10, "")],
+                             trials, n * n, expectations, (normals, dense, factor))
 
     dev = _dist([qubit.u_lambda_conjugation_check(1), qubit.u_lambda_conjugation_check(grid_size)])
     results.append(_result("conjugated sector swap equals I x sigma_x", dev, 1e-14))

@@ -1,4 +1,4 @@
-"""Working-set bounds and block folding of the check suites."""
+"""Working-set bounds and the block driver of the check suites."""
 
 import math
 import tracemalloc
@@ -104,28 +104,66 @@ def test_bell_checks_keep_two_dense_matrices_and_a_column_block():
 
 
 def test_group_checks_peak_does_not_grow_with_samples():
-    one = _traced_peak(checks.group_checks, "momentum", checks.GROUP_BLOCK, 0)
-    three = _traced_peak(checks.group_checks, "momentum", 3 * checks.GROUP_BLOCK, 0)
+    one = _traced_peak(checks.group_checks, "momentum", checks.TRIAL_BLOCK, 0)
+    three = _traced_peak(checks.group_checks, "momentum", 3 * checks.TRIAL_BLOCK, 0)
     assert three <= 1.25 * one
 
 
 def test_group_checks_past_one_block_keep_every_row():
-    one = checks.group_checks("coordinate", checks.GROUP_BLOCK, 3)
-    more = checks.group_checks("coordinate", checks.GROUP_BLOCK + 1, 3)
+    one = checks.group_checks("coordinate", checks.TRIAL_BLOCK, 3)
+    more = checks.group_checks("coordinate", checks.TRIAL_BLOCK + 1, 3)
     assert [(r.name, r.tolerance, r.note) for r in more] == \
         [(r.name, r.tolerance, r.note) for r in one]
     assert all(r.passed for r in more)
 
 
-def test_block_fold_adds_counts_and_keeps_a_nan_deviation():
-    two = checks.CheckResult(checks.ORBIT_CLASS_ROW, False, 2.0, 0.0)
-    three = checks.CheckResult(checks.ORBIT_CLASS_ROW, False, 3.0, 0.0)
-    assert checks._fold(two, three).max_deviation == 5.0
-    nan = checks.CheckResult("product associativity", False, math.nan, 1e-12)
-    fine = checks.CheckResult("product associativity", True, 1e-15, 1e-12)
-    for folded in (checks._fold(nan, fine), checks._fold(fine, nan)):
-        assert math.isnan(folded.max_deviation) and not folded.passed
-    assert checks._fold(fine, fine).passed
+def _synthetic_rows(monkeypatch, values_per_block, per_block=2):
+    """_sampled_rows on a deviation row and a count row, with the given values per block.
+
+    Each block draws one uniform per trial; the rows' values are replaced by
+    values_per_block[b] for block b, so only the driver's folding is tested.
+    """
+    monkeypatch.setattr(checks, "TRIAL_BLOCK", per_block)
+    rng, seen = np.random.default_rng(0), []
+
+    def evaluate(blocks):
+        for b, (count, x) in enumerate(blocks):
+            seen.append(x[:, 0].copy())
+            deviation, failed = values_per_block[b]
+            yield [np.full(count, deviation), np.arange(count) < failed]
+
+    def draw(out):
+        out[0] = rng.uniform()
+
+    rows = [("deviation", 1e-12, "a note"), ("count", 0.0, "")]
+    trials = per_block * (len(values_per_block) - 1) + 1
+    results = checks._sampled_rows(rows, trials, 1, evaluate, [((1,), float, draw)])
+    # each trial drew its value in turn, in blocks of per_block, the last of one trial
+    assert [len(x) for x in seen] == [per_block] * (len(values_per_block) - 1) + [1]
+    assert np.array_equal(np.concatenate(seen),
+                          np.random.default_rng(0).uniform(size=trials))
+    return results
+
+
+def test_sampled_rows_add_counts_and_keep_the_worst_deviation(monkeypatch):
+    dev, count = _synthetic_rows(monkeypatch, [(1e-15, 1), (3e-13, 0), (2e-16, 1)])
+    assert dev == checks.CheckResult("deviation", True, 3e-13, 1e-12, "a note")
+    assert count == checks.CheckResult("count", False, 2.0, 0.0, "")
+
+
+@pytest.mark.parametrize("nan_block", [0, 1, 2])
+def test_a_nan_in_any_block_fails_the_row(monkeypatch, nan_block):
+    values = [(1e-15, 0)] * 3
+    values[nan_block] = (math.nan, 0)
+    dev, count = _synthetic_rows(monkeypatch, values)
+    assert math.isnan(dev.max_deviation) and not dev.passed
+    assert count.passed and count.max_deviation == 0.0
+
+
+def test_a_count_row_without_failures_passes_at_zero(monkeypatch):
+    _, count = _synthetic_rows(monkeypatch, [(0.0, 0)] * 2)
+    assert count == checks.CheckResult("count", True, 0.0, 0.0, "")
+    assert type(count.max_deviation) is float
 
 
 # each failed the associativity row under an absolute measure: a correct
