@@ -43,15 +43,21 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def _trial_gap(a, b=0.0) -> np.ndarray:
-    """Per-trial max entrywise |a - b| over every axis after the first; a NaN stays."""
+    """Per-trial max entrywise |a - b| over every axis after the first; a NaN stays.
+
+    One np.maximum.reduceat over the flat array, a segment per trial: numpy
+    reduces many short trailing rows about half as fast.
+    """
     gap = np.abs(np.subtract(a, b))
-    return gap.max(axis=tuple(range(1, gap.ndim)))
+    flat = gap.reshape(-1)
+    return np.maximum.reduceat(flat, np.arange(0, flat.size, flat.size // len(gap)))
 
 
 def _largest(linear, translation) -> np.ndarray:
     """Per-sample max over a (..., 4, 4) linear and a (..., 4) translation part; a NaN stays.
 
-    group._fold_columns, since numpy reduces a length-4 last axis slowly.
+    It folds columns with group._fold_columns: numpy reduces a length-4 last
+    axis several times slower.
     """
     def fold(a):
         return group._fold_columns(np.maximum, a)
@@ -97,9 +103,9 @@ def _sampled_rows(rows, trials: int, per_trial: int, evaluate,
     block's replace them.  Freed all at once at the end of each block, they
     let malloc hand the top of the heap back to the system, and the next
     block faults it in again: in a fresh process that cost
-    rep_checks(4096, 1, 20) about 10k page faults against about 1k.  No
-    reference to a block's buffers is kept here, so evaluate can free one
-    early.
+    rep_checks(4096, 1, 20) about 10k page faults, against 1k to 4.5k here
+    (the count swings with the heap's layout).  No reference to a block's
+    buffers is kept here, so evaluate can free one early.
     """
     size = max(1, TRIAL_BLOCK // per_trial)
     draws = [draw for _, _, draw in quantities]
