@@ -1,4 +1,4 @@
-"""Working-set bounds and the block driver of the check suites."""
+"""Working-set bounds and the block loop of the check suites."""
 
 import math
 import tracemalloc
@@ -121,7 +121,7 @@ def _synthetic_rows(monkeypatch, values_per_block, per_block=2):
     """_sampled_rows on a deviation row and a count row, with the given values per block.
 
     Each block draws one uniform per trial; the rows' values are replaced by
-    values_per_block[b] for block b, so only the driver's folding is tested.
+    values_per_block[b] for block b, so only the folding of _sampled_rows is tested.
     """
     monkeypatch.setattr(checks, "TRIAL_BLOCK", per_block)
     rng, seen = np.random.default_rng(0), []
