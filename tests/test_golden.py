@@ -134,6 +134,12 @@ GOLDEN = {
         "2a5540bd0be90f561fc743fc8dd75a1967e9c226324ec390a1efe749be34a39b",
     "bell-check --grid-size 66 --trials 2 --seed 0":
         "a9e6462765668f64698d3c503f80a6c90ec57054926dcdaf6087b7c7fdf8222f",
+    # N = 64, whose 64^2 = 4096 matrix entries are one TRIAL_BLOCK, and
+    # N = 200, past it, over three trials
+    "bell-check --grid-size 64":
+        "cec773d007e36177b133829339cd825a87bf530139b5df56eb4b87dbbf0a8c18",
+    "bell-check --grid-size 200 --trials 3 --seed 0":
+        "a91027bb5b63902bd84f4e0b38822d38e04c93f9137b57dfbdb58d778a3972b6",
     "orbit 1 0 0 1":
         "55680dc0bbbcae4797e99c946f24f18e1fe23025dc432a5474b9f730a1c90a8e",
     "orbit 2 0.3 -0.4 1 --theta 0.3 --phi 1.1":
