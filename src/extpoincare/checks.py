@@ -8,6 +8,7 @@ proper orthochronous component is deliberately not asserted anywhere.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from functools import partial, reduce
@@ -275,26 +276,60 @@ def _random_doublet(rng: np.random.Generator, grid: doublet.FrequencyGrid,
     return _doublets(grid, rng.standard_normal((2, 2, grid.count)), interior)
 
 
-def _complex_normal(rng: np.random.Generator, shape=None, out=None) -> np.ndarray:
+def _normal_chunks(rng: np.random.Generator, size: int):
+    """(start, normals): rng's next size normals, TRIAL_BLOCK at a time, as _complex_normal draws each part."""
+    for start in range(0, size, TRIAL_BLOCK):
+        yield start, rng.standard_normal(min(TRIAL_BLOCK, size - start))
+
+
+def _complex_normal(rng: np.random.Generator, shape=None, out=None,
+                    imag_rng: np.random.Generator | None = None) -> np.ndarray:
     """standard_normal(shape) + 1j * standard_normal(shape), or of out's shape into out.
 
     The same draws and bits as that sum, with no complex temporary.  Above
-    TRIAL_BLOCK values each part is drawn in chunks of TRIAL_BLOCK, which give
-    the generator's normals in the same order, so no real temporary of the
-    whole array is made either (8 MiB for a 1024 x 1024 draw).  ``out`` must
-    be C-contiguous.
+    TRIAL_BLOCK values each part is drawn in chunks of TRIAL_BLOCK
+    (_normal_chunks), which give the generator's normals in the same order,
+    so no real temporary of the whole array is made either (8 MiB for a
+    1024 x 1024 draw).  ``out`` must be C-contiguous.  ``imag_rng``, if given,
+    draws the imaginary parts in rng's place: _Replay reads rows of a larger
+    draw again from the states where its two parts began.
     """
     z = np.empty(shape, dtype=complex) if out is None else out
+    imag_rng = rng if imag_rng is None else imag_rng
     if z.size <= TRIAL_BLOCK:
         z.real = rng.standard_normal(z.shape)
-        z.imag = rng.standard_normal(z.shape)
+        z.imag = imag_rng.standard_normal(z.shape)
         return z
     flat = z.reshape(-1)
-    for part in (flat.real, flat.imag):
-        for start in range(0, flat.size, TRIAL_BLOCK):
-            chunk = part[start:start + TRIAL_BLOCK]
-            chunk[...] = rng.standard_normal(chunk.size)
+    for part, source in ((flat.real, rng), (flat.imag, imag_rng)):
+        for start, chunk in _normal_chunks(source, part.size):
+            part[start:start + chunk.size] = chunk
     return z
+
+
+class _Replay:
+    """_complex_normal(rng, (n, n)) kept as two generator copies, not as n * n values.
+
+    Made from rng, it copies rng where the draw's real parts begin and again
+    where its imaginary parts begin, and draws and drops every normal of both
+    parts, so rng goes on as after _complex_normal(rng, (n, n)).  rows(slices)
+    draws the rows of consecutive slices again from those copies, each block
+    with the bits of the same rows of _complex_normal(rng, (n, n)).
+    """
+
+    def __init__(self, rng: np.random.Generator, n: int):
+        self.n = n
+        self.starts = []
+        for _ in range(2):
+            self.starts.append(copy.deepcopy(rng))
+            for _ in _normal_chunks(rng, n * n):
+                pass
+
+    def rows(self, slices):
+        """The (rows, n) block of each slice in turn; the slices tile 0..n in order."""
+        real, imag = map(copy.deepcopy, self.starts)
+        for rows in slices:
+            yield _complex_normal(real, (rows.stop - rows.start, self.n), imag_rng=imag)
 
 
 # Note for the rep_checks rows that draw boosts: at N <= 4 the padding leaves
@@ -414,37 +449,36 @@ def rep_checks(grid_size: int = 16, helicity: int = 1, trials: int = 100,
     return results
 
 
-# bell_checks forms a1 @ a2 over a2, this many columns at a time, so the
-# product needs one N x 256 copy of a2's columns beyond the two factors (a
-# quarter matrix at N = 1024).  Narrower blocks save little more memory, and
-# at widths 64 and 128 a two-column tail (N = 130) changed the bits of the
-# multithreaded OpenBLAS product; 256 matched a1 @ a2 bit for bit at every N
-# from 2 to 559 and at 14 larger N up to 2048, on one thread and on two.
-PRODUCT_COLUMNS = 256
+# bell_checks evaluates the dictionary row over blocks of this many rows of
+# A1, so beyond A2 it holds one block of A1's rows and one of A1 A2's (an
+# eighth of a matrix at N = 1024, against a half at 256 rows).  Formed in
+# these blocks, A1 A2 and A1 psi kept the bits of the whole products at every
+# N from 65 to 699 on one OpenBLAS thread and on two, and at 249 sizes from
+# 700 to 2048 on two.
+ROW_BLOCK = 64
 
 
-def _product_into(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """b = a @ b over stacks of square matrices, computed into b column block by column block.
+def _row_slices(n: int) -> list[slice]:
+    """Row blocks of ROW_BLOCK over 0..n; a tail of fewer than 4 rows joins the block before it.
 
-    A one-column tail joins the block before it: a single column goes to
-    BLAS's matrix-vector kernel, whose bits differ from the full product's.
+    A single row goes to BLAS's vector kernel, whose bits differ from the
+    full product's, and at N = 130 and 131 a tail of two or three rows
+    rounded unlike the two-thread OpenBLAS product of the whole matrix.
     """
-    n = b.shape[-1]
-    edges = [*range(0, n, PRODUCT_COLUMNS), n]
-    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+    edges = [*range(0, n, ROW_BLOCK), n]
+    if len(edges) > 2 and edges[-1] - edges[-2] < 4:
         del edges[-2]
-    for lo, hi in zip(edges, edges[1:]):
-        columns = b[..., lo:hi]
-        np.matmul(a, columns.copy(), out=columns)
-    return b
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
-# A bell-check block keeps two dense complex N x N matrices per trial alive,
-# plus one N x PRODUCT_COLUMNS block, and its dense draws make no temporary of
-# a matrix's size; from N = 46 on a block is one trial.  Traced peak
-# (tracemalloc): 36.2 MiB at N = 1024 (2.26 matrices of 16 MiB) and 136.4 MiB
-# at N = 2048 (2.13 matrices of 64 MiB).  At N = 8 a block holds 64 trials and
-# the suite peaks at 0.35 MB.
+# A bell-check trial above TRIAL_BLOCK matrix entries keeps one dense complex
+# N x N matrix alive, A2, plus a block of ROW_BLOCK rows of A1 and of A1 A2:
+# A1 is replayed block by block (_Replay), and the unit row's identity is
+# built after A2 is freed.  Its dense draws make no temporary of a matrix's
+# size; from N = 46 on a block is one trial.  Traced peak (tracemalloc):
+# 18.4 MiB at N = 1024 (1.15 matrices of 16 MiB) and 68.7 MiB at N = 2048
+# (1.07 matrices of 64 MiB), 36.2 and 136.4 MiB when A1 was kept whole.  At
+# N = 8 a block holds 64 trials and the suite peaks at 0.41 MB.
 BELL_MAX_GRID_SIZE = 2048
 
 
@@ -453,9 +487,11 @@ def bell_checks(grid_size: int = 8, trials: int = 100, seed: int = 0) -> list[Ch
 
     The two dense rows run over blocks of max(1, TRIAL_BLOCK // N^2) trials,
     drawn trial by trial and evaluated as one stack.  Per trial the dictionary
-    row keeps two dense N x N matrices and one N x PRODUCT_COLUMNS block: A1 A2
-    is formed over A2 and the adjoint uses A1 conjugated in place.  Traced
-    peak: 36.2 MiB at N = 1024 and 136.4 MiB at N = 2048, the cap.
+    row keeps one dense N x N matrix, A2, and walks A1 in blocks of ROW_BLOCK
+    rows: up to TRIAL_BLOCK entries A1 is drawn into the block's buffer and
+    read as one block, above it its rows are drawn again from saved generator
+    states (_Replay).  Traced peak: 18.4 MiB at N = 1024 and 68.7 MiB at
+    N = 2048, the cap.
     """
     if grid_size < 1:
         raise ValueError(f"grid size must be positive, got {grid_size}")
@@ -469,35 +505,56 @@ def bell_checks(grid_size: int = 8, trials: int = 100, seed: int = 0) -> list[Ch
     normals = ((2, 2, n), float, rng.standard_normal)
     dense = ((n, n), complex, partial(_complex_normal, rng))
     factor = ((2, 2), complex, partial(_complex_normal, rng))
+    replayed = n * n > TRIAL_BLOCK
+
+    def replay(out):
+        out[0] = _Replay(rng, n)
+
+    def rows_of(a, b, s):
+        """Those rows of iota(A x B) s, from a block of A's rows: apply_block's arithmetic."""
+        return qubit.apply_block(qubit.BlockOperator(a, b), s).amps
 
     def dictionary(blocks):
         for _, d1, d2, a1, a2, b1, b2 in blocks:
             s1, s2 = _doublets(grid, d1), _doublets(grid, d2)
             iso = doublet._cabs(doublet._vdot(qubit.sector_isometry(s1), qubit.sector_isometry(s2))
                                 - doublet._vdot(s1.amps, s2.amps))
-            # two dense N x N matrices per trial live at once, a1 and a2, plus
-            # one column block of a2: a2 becomes a1 @ a2, then a1 its conjugate
-            op = qubit.iota(a1, b1)
-            left = qubit.apply_block(op, qubit.apply_block(qubit.iota(a2, b2), s1))
-            forward = qubit.apply_block(op, s1)
-            right = qubit.apply_block(qubit.iota(_product_into(a1, a2), b1 @ b2), s1)
-            # adjoint: <s2, iota(A x B) s1> = <iota(A^H x B^H) s2, s1>
-            adj = qubit.apply_block(qubit.iota(np.swapaxes(np.conjugate(a1, out=a1), -1, -2),
-                                               np.swapaxes(b1.conj(), -1, -2)), s2)
-            del a1, a2, op
+            inner = qubit.apply_block(qubit.iota(a2, b2), s1)
+            b12, b1_h = b1 @ b2, np.swapaxes(b1.conj(), -1, -2)
+            forward, left, right = (np.empty_like(s1.amps) for _ in range(3))
+            slices = _row_slices(n) if replayed else [slice(None)]
+            # adjoint: <s2, iota(A x B) s1> = <iota(A^H x B^H) s2, s1>, with
+            # A^H psi_j summed over A's row blocks, then mixed as apply_block
+            # mixes.  Above one block the sum rounds unlike one product, but
+            # the left-right gap, at least 16x larger in 200 trials at N = 65
+            # to 130, sets the row's value.
+            a_h_psi = None
+            for rows, a in zip(slices, a1[0, 0].rows(slices) if replayed else [a1]):
+                forward[..., rows] = rows_of(a, b1, s1)
+                left[..., rows] = rows_of(a, b1, inner)
+                right[..., rows] = rows_of(a @ a2, b12, s1)
+                a_h = np.swapaxes(np.conjugate(a, out=a), -1, -2)
+                term = (a_h[..., None, :, :] @ s2.amps[..., rows, None])[..., 0]
+                a_h_psi = term if a_h_psi is None else a_h_psi + term
+                del a, a_h  # freed before the next block's rows are drawn
+            del a1, a2
+            adj = (b1_h[..., :, 0, None] * a_h_psi[..., None, 0, :]
+                   + b1_h[..., :, 1, None] * a_h_psi[..., None, 1, :])
             unit = qubit.apply_block(qubit.iota(np.eye(n, dtype=complex), qubit.ID2), s1)
             yield [iso, reduce(np.maximum, [
-                _trial_gap(unit.amps, s1.amps), _trial_gap(left.amps, right.amps),
-                doublet._cabs(doublet._vdot(s2.amps, forward.amps)
-                              - doublet._vdot(adj.amps, s1.amps))])]
+                _trial_gap(unit.amps, s1.amps), _trial_gap(left, right),
+                doublet._cabs(doublet._vdot(s2.amps, forward) - doublet._vdot(adj, s1.amps))])]
     results = _sampled_rows([("sector isometry preserves inner products", 1e-12, ""),
                              ("observable embedding is a unital *-homomorphism", 1e-10, "")],
                             trials, n * n, dictionary,
-                            (normals, normals, dense, dense, factor, factor))
+                            (normals, normals, ((1,), object, replay) if replayed else dense,
+                             dense, factor, factor))
 
     def expectations(blocks):
         for _, d, a, b in blocks:
-            yield [qubit.expectation_equality(_doublets(grid, d), a, b)[2]]
+            gap = qubit.expectation_equality(_doublets(grid, d), a, b)[2]
+            del a  # freed before the next block draws its own
+            yield [gap]
     results += _sampled_rows([("expectations agree on both sides of the dictionary", 1e-10, "")],
                              trials, n * n, expectations, (normals, dense, factor))
 

@@ -80,27 +80,44 @@ def test_rep_checks_hold_about_27_grid_vectors():
     assert _traced_peak(checks.rep_checks, n, 1, 3, 0) <= 28 * 16 * n
 
 
-# a1 @ a2 formed over a2 in column blocks keeps the bits of the full product;
-# W + 1 and 2W + 1 leave a one-column tail, which joins the block before it
-W = checks.PRODUCT_COLUMNS
+@pytest.mark.parametrize("n", [65, 257, 300, 1024])
+def test_replayed_rows_equal_the_stored_draw_bit_for_bit(n):
+    rng, twin = np.random.default_rng(n), np.random.default_rng(n)
+    rng.standard_normal(3), twin.standard_normal(3)
+    replay = checks._Replay(rng, n)
+    want = checks._complex_normal(twin, (n, n))
+    assert rng.standard_normal() == twin.standard_normal()
+    # blocks of ROW_BLOCK rows, then a one-row tail
+    edges = [*range(0, n - 1, checks.ROW_BLOCK), n - 1, n]
+    slices = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    got = np.concatenate(list(replay.rows(slices)))
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+# a1 @ a2 formed one row block at a time keeps the bits of the full product;
+# 65, 129 to 131, 257, 258 and 513 leave a tail of one to three rows, which
+# joins the block before it
 @pytest.mark.parametrize("stack", [(), (2,)])
-@pytest.mark.parametrize("n", [8, 46, W + 1, W + 2, 2 * W + 1, 1024])
+@pytest.mark.parametrize("n", [8, 46, 65, 129, 130, 131, 257, 258, 513, 1024])
 def test_blocked_product_equals_the_full_product_bit_for_bit(n, stack):
     rng = np.random.default_rng(n)
     a, b = (checks._complex_normal(rng, stack + (n, n)) for _ in range(2))
     want = a @ b
-    got = checks._product_into(a, b)
-    assert got is b
+    got = np.concatenate([a[..., rows, :] @ b for rows in checks._row_slices(n)], axis=-2)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def test_bell_checks_keep_two_dense_matrices_and_a_column_block():
-    # 2.42 matrices traced at N = 640: a1, a2 and one N x W copy of a2's columns
+def test_bell_checks_keep_one_dense_matrix_and_a_row_block():
+    # 1.25 matrices traced at N = 640: a2, and ROW_BLOCK rows of a1 and of a1 @ a2
     n = 640
-    assert n > W
-    assert _traced_peak(checks.bell_checks, n, 2, 0) <= 2.5 * 16 * n * n
+    assert _traced_peak(checks.bell_checks, n, 2, 0) <= 1.35 * 16 * n * n
+
+
+def test_bell_checks_peak_does_not_grow_from_one_trial_to_two():
+    # each dense row frees a trial's matrices before the next trial draws its own
+    n = 640
+    one = _traced_peak(checks.bell_checks, n, 1, 0)
+    assert _traced_peak(checks.bell_checks, n, 2, 0) <= one + 0.1 * 16 * n * n
 
 
 def test_group_checks_peak_does_not_grow_with_samples():
