@@ -290,7 +290,8 @@ def _complex_normal(rng: np.random.Generator, shape=None, out=None,
     TRIAL_BLOCK values each part is drawn in chunks of TRIAL_BLOCK
     (_normal_chunks), which give the generator's normals in the same order,
     so no real temporary of the whole array is made either (8 MiB for a
-    1024 x 1024 draw).  ``out`` must be C-contiguous.  ``imag_rng``, if given,
+    1024 x 1024 draw); bell_checks peaks at 18.4 MiB traced at N = 1024 and
+    68.7 MiB at 2048.  ``out`` must be C-contiguous.  ``imag_rng``, if given,
     draws the imaginary parts in rng's place: _Replay reads rows of a larger
     draw again from the states where its two parts began.
     """
@@ -537,7 +538,7 @@ def bell_checks(grid_size: int = 8, trials: int = 100, seed: int = 0) -> list[Ch
                 term = (a_h[..., None, :, :] @ s2.amps[..., rows, None])[..., 0]
                 a_h_psi = term if a_h_psi is None else a_h_psi + term
                 del a, a_h  # freed before the next block's rows are drawn
-            del a1, a2
+            del a1, a2  # freed before the unit row builds its N x N identity
             adj = (b1_h[..., :, 0, None] * a_h_psi[..., None, 0, :]
                    + b1_h[..., :, 1, None] * a_h_psi[..., None, 1, :])
             unit = qubit.apply_block(qubit.iota(np.eye(n, dtype=complex), qubit.ID2), s1)

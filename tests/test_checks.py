@@ -83,7 +83,8 @@ def test_rep_checks_hold_about_27_grid_vectors():
 @pytest.mark.parametrize("n", [65, 257, 300, 1024])
 def test_replayed_rows_equal_the_stored_draw_bit_for_bit(n):
     rng, twin = np.random.default_rng(n), np.random.default_rng(n)
-    rng.standard_normal(3), twin.standard_normal(3)
+    for generator in (rng, twin):
+        generator.standard_normal(3)
     replay = checks._Replay(rng, n)
     want = checks._complex_normal(twin, (n, n))
     assert rng.standard_normal() == twin.standard_normal()
@@ -108,9 +109,10 @@ def test_blocked_product_equals_the_full_product_bit_for_bit(n, stack):
 
 
 def test_bell_checks_keep_one_dense_matrix_and_a_row_block():
-    # 1.25 matrices traced at N = 640: a2, and ROW_BLOCK rows of a1 and of a1 @ a2
+    # 1.25 matrices traced at N = 640: a2, and ROW_BLOCK rows of a1 and of
+    # a1 @ a2; a block of a1's rows kept while the next is drawn reads 1.34
     n = 640
-    assert _traced_peak(checks.bell_checks, n, 2, 0) <= 1.35 * 16 * n * n
+    assert _traced_peak(checks.bell_checks, n, 2, 0) <= 1.3 * 16 * n * n
 
 
 def test_bell_checks_peak_does_not_grow_from_one_trial_to_two():
