@@ -8,10 +8,10 @@ proper orthochronous component is deliberately not asserted anywhere.
 
 from __future__ import annotations
 
-import copy
 import math
+import zlib
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -36,11 +36,26 @@ def _dist(a, b=0.0) -> float:
     return float(np.abs(np.subtract(a, b)).max())
 
 
-def _rng(seed: int) -> np.random.Generator:
-    """The suites' generator; a negative seed is rejected naming the field, not by numpy."""
+def _rng(seed: int, spawn_key=()) -> np.random.Generator:
+    """default_rng(SeedSequence(seed, spawn_key)); a negative seed is rejected naming the field.
+
+    With no key this is default_rng(seed), group_checks' one shared stream.
+    """
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    return np.random.default_rng(seed)
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=spawn_key))
+
+
+STREAM_RULE = ("check stream v1: quantity q of row r draws from numpy "
+               "default_rng(SeedSequence(seed, spawn_key=(crc32(r), crc32(q)))), "
+               "r the row name and q the quantity name in UTF-8; each quantity is "
+               "drawn in trial order, a block of trials in one call, and a complex "
+               "normal takes each entry's real part, then its imaginary part")
+
+
+def _stream(seed: int, row: str, quantity: str) -> np.random.Generator:
+    """The generator of ``quantity`` in row ``row`` under STREAM_RULE."""
+    return _rng(seed, (zlib.crc32(row.encode()), zlib.crc32(quantity.encode())))
 
 
 def _trial_gap(a, b=0.0) -> np.ndarray:
@@ -89,16 +104,17 @@ def _relative_gap(g: group.ExtPoincareElement, h: group.ExtPoincareElement) -> n
 TRIAL_BLOCK = 4096
 
 
-def _sampled_rows(rows, trials: int, per_trial: int, evaluate,
-                  quantities=()) -> list[CheckResult]:
+def _sampled_rows(rows, seed: int, trials: int, per_trial: int, evaluate, /,
+                  **quantities) -> list[CheckResult]:
     """One CheckResult per (name, tolerance, note) in rows, over blocks of trials.
 
-    Each quantity (shape, dtype, draw) gets a buffer with one slot of that
-    shape per trial of a block, and each trial fills its slots in the
-    declared order by draw(out=slot), so no result depends on the block size.
-    evaluate(blocks) takes the blocks as (count, *buffers) and yields, per
-    block, one array per row with one value per trial: a deviation, of which
-    the row keeps the worst (a NaN wins), or a failure flag, which it counts.
+    Each quantity is a draw(rng, count) that returns count trials' values in
+    one call, and draws from its own stream, _stream(seed, rows[0][0], name):
+    so no result depends on the block size or on another row's draws.  A
+    block is (count, *values), one value array per quantity in the declared
+    order.  evaluate(blocks) yields, per block, one array per row with one
+    value per trial: a deviation, of which the row keeps the worst (a NaN
+    wins), or a failure flag, which it counts.
 
     evaluate is a generator, so a block's arrays are freed only as the next
     block's replace them.  Freed all at once at the end of each block, they
@@ -106,18 +122,13 @@ def _sampled_rows(rows, trials: int, per_trial: int, evaluate,
     block faults it in again: in a fresh process that cost
     rep_checks(4096, 1, 20) about 10k page faults, against 1k to 4.5k here
     (the count swings with the heap's layout).  No reference to a block's
-    buffers is kept here, so evaluate can free one early.
+    arrays is kept here, so evaluate can free one early.
     """
     size = max(1, TRIAL_BLOCK // per_trial)
-    draws = [draw for _, _, draw in quantities]
+    draws = [(draw, _stream(seed, rows[0][0], name)) for name, draw in quantities.items()]
 
     def block(count):
-        buffers = [np.empty((count, *shape), dtype) for shape, dtype, _ in quantities]
-        fills = list(zip(draws, buffers))
-        for t in range(count):
-            for draw, buffer in fills:
-                draw(out=buffer[t])
-        return count, *buffers
+        return count, *(draw(rng, count) for draw, rng in draws)
 
     worst = [0.0] * len(rows)
     for values in evaluate(block(min(size, trials - start)) for start in range(0, trials, size)):
@@ -165,7 +176,7 @@ def group_checks(convention: str = "momentum", samples: int = 100,
             ("pairing flips sign on the time-direction plane", 1e-12, ""),
             ("timelike orbit merges with both massive classes and tachyonic", 0.0, "")]
     return [involution] + _sampled_rows(
-        rows, samples, 1, lambda blocks: (_group_block(rng, convention, n) for n, in blocks))
+        rows, seed, samples, 1, lambda blocks: (_group_block(rng, convention, n) for n, in blocks))
 
 
 def _group_block(rng: np.random.Generator, convention: str, samples: int) -> list[np.ndarray]:
@@ -247,20 +258,17 @@ def ad_eta_table(convention: str = "momentum", seed: int = 0) -> list[dict]:
     return rows
 
 
-def _doublets(grid: doublet.FrequencyGrid, draws: np.ndarray,
+def _doublets(grid: doublet.FrequencyGrid, amps: np.ndarray,
               interior: int = 0) -> doublet.DoubletState:
-    """Unit doublets from normal draws (..., 2, 2, N), each f.re, f.im, b.re, b.im.
+    """Unit doublets from complex normal draws (..., 2, N), forward row first.
 
     ``interior`` points at each end are zeroed before each state is scaled by
     its np.linalg.norm, computed as that function does: a dot of the real
-    parts plus a dot of the imaginary parts.
+    parts plus a dot of the imaginary parts.  ``amps`` is scaled in place.
     """
     n = grid.count
     if 2 * interior >= n:
         raise ValueError(f"interior padding {interior} leaves no support on {n} points")
-    amps = np.empty(draws.shape[:-3] + (2, n), dtype=complex)
-    amps.real = draws[..., 0, :]
-    amps.imag = draws[..., 1, :]
     if interior > 0:
         amps[..., :interior] = 0.0
         amps[..., n - interior:] = 0.0
@@ -272,65 +280,31 @@ def _doublets(grid: doublet.FrequencyGrid, draws: np.ndarray,
 
 def _random_doublet(rng: np.random.Generator, grid: doublet.FrequencyGrid,
                     interior: int = 0) -> doublet.DoubletState:
-    """A unit doublet drawn as the forward then the backward _complex_normal(rng, N)."""
-    return _doublets(grid, rng.standard_normal((2, 2, grid.count)), interior)
+    """A unit doublet drawn as _complex_normal(rng, (2, N)), the forward row first."""
+    return _doublets(grid, _complex_normal(rng, (2, grid.count)), interior)
 
 
-def _normal_chunks(rng: np.random.Generator, size: int):
-    """(start, normals): rng's next size normals, TRIAL_BLOCK at a time, as _complex_normal draws each part."""
-    for start in range(0, size, TRIAL_BLOCK):
-        yield start, rng.standard_normal(min(TRIAL_BLOCK, size - start))
+def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """Complex standard normals of ``shape``: each entry's real part, then its imaginary part.
 
-
-def _complex_normal(rng: np.random.Generator, shape=None, out=None,
-                    imag_rng: np.random.Generator | None = None) -> np.ndarray:
-    """standard_normal(shape) + 1j * standard_normal(shape), or of out's shape into out.
-
-    The same draws and bits as that sum, with no complex temporary.  Above
-    TRIAL_BLOCK values each part is drawn in chunks of TRIAL_BLOCK
-    (_normal_chunks), which give the generator's normals in the same order,
-    so no real temporary of the whole array is made either (8 MiB for a
-    1024 x 1024 draw); bell_checks peaks at 18.4 MiB traced at N = 1024 and
-    68.7 MiB at 2048.  ``out`` must be C-contiguous.  ``imag_rng``, if given,
-    draws the imaginary parts in rng's place: _Replay reads rows of a larger
-    draw again from the states where its two parts began.
+    One standard_normal call fills the array through its float view, so no
+    temporary is made, and rows drawn in order tile the whole draw bit for
+    bit: (count, ...) at once is count draws of (...), and a matrix's row
+    blocks drawn in turn are the matrix.
     """
-    z = np.empty(shape, dtype=complex) if out is None else out
-    imag_rng = rng if imag_rng is None else imag_rng
-    if z.size <= TRIAL_BLOCK:
-        z.real = rng.standard_normal(z.shape)
-        z.imag = imag_rng.standard_normal(z.shape)
-        return z
-    flat = z.reshape(-1)
-    for part, source in ((flat.real, rng), (flat.imag, imag_rng)):
-        for start, chunk in _normal_chunks(source, part.size):
-            part[start:start + chunk.size] = chunk
+    z = np.empty(shape, dtype=complex)
+    rng.standard_normal(out=z.view(float))
     return z
 
 
-class _Replay:
-    """_complex_normal(rng, (n, n)) kept as two generator copies, not as n * n values.
+def _complex_draw(*shape):
+    """The draw(rng, count) of count complex normal arrays of ``shape``."""
+    return lambda rng, count: _complex_normal(rng, (count, *shape))
 
-    Made from rng, it copies rng where the draw's real parts begin and again
-    where its imaginary parts begin, and draws and drops every normal of both
-    parts, so rng goes on as after _complex_normal(rng, (n, n)).  rows(slices)
-    draws the rows of consecutive slices again from those copies, each block
-    with the bits of the same rows of _complex_normal(rng, (n, n)).
-    """
 
-    def __init__(self, rng: np.random.Generator, n: int):
-        self.n = n
-        self.starts = []
-        for _ in range(2):
-            self.starts.append(copy.deepcopy(rng))
-            for _ in _normal_chunks(rng, n * n):
-                pass
-
-    def rows(self, slices):
-        """The (rows, n) block of each slice in turn; the slices tile 0..n in order."""
-        real, imag = map(copy.deepcopy, self.starts)
-        for rows in slices:
-            yield _complex_normal(real, (rows.stop - rows.start, self.n), imag_rng=imag)
+def _uniform_draw(low: float, high: float, *shape):
+    """The draw(rng, count) of count uniform arrays of ``shape`` on [low, high)."""
+    return lambda rng, count: rng.uniform(low, high, (count, *shape))
 
 
 # Note for the rep_checks rows that draw boosts: at N <= 4 the padding leaves
@@ -350,17 +324,17 @@ def rep_checks(grid_size: int = 16, helicity: int = 1, trials: int = 100,
 
     Grids up to N = 31 keep ratio 1.25; larger ones are squeezed so the top
     frequency stays at OMEGA_TOP.  Each sampled row runs over blocks of
-    max(1, TRIAL_BLOCK // N) trials, drawn trial by trial and evaluated as
-    one stack.  A row holds its block's draws and about 15 complex vectors of
-    a block's trials * N lattice points while it evaluates (0.99 MB traced at
-    N = 4096, one trial per block, and at most 1.1 MB at any smaller N), and
-    nothing survives the row.
+    max(1, TRIAL_BLOCK // N) trials and draws each of its quantities (states,
+    translation, angle, steps) for a block in one call, under STREAM_RULE.
+    A row holds its block's draws and about 15 complex vectors of a block's
+    trials * N lattice points while it evaluates (0.88 MB traced at N = 4096,
+    one trial per block, and under 1 MB at N = 16 to 3000), and nothing
+    survives the row.
     """
     if grid_size < 1:
         raise ValueError(f"grid size must be positive, got {grid_size}")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    rng = _rng(seed)
     ratio = min(1.25, OMEGA_TOP ** (1.0 / max(grid_size - 1, 1)))
     grid = doublet.FrequencyGrid(1.0, ratio, grid_size, helicity=helicity)
     step = grid.step()
@@ -368,36 +342,30 @@ def rep_checks(grid_size: int = 16, helicity: int = 1, trials: int = 100,
     max_steps = min(3, (grid_size - 1) // 4)
     n = grid_size
     boost_note = "" if max_steps else NO_BOOST_NOTE
-    normals = ((2, 2, n), float, rng.standard_normal)
+    states = _complex_draw(2, n)
 
-    def draw_operators(out):
-        """One trial's operator draws: translation, rotation angle, boost in lattice steps."""
-        out[:4] = rng.uniform(-3, 3, 4)
-        out[4] = rng.uniform(-np.pi, np.pi)
-        out[5] = rng.integers(-max_steps, max_steps + 1)
+    def operators(reach, shape=()):
+        """An element's quantities: translation in [-reach, reach)^4, angle, steps of boost."""
+        return dict(translation=_uniform_draw(-reach, reach, *shape, 4),
+                    angle=_uniform_draw(-np.pi, np.pi, *shape),
+                    steps=lambda rng, count: rng.integers(-max_steps, max_steps + 1,
+                                                          (count, *shape)))
 
-    def draw_axial(out):
-        """One axial element's draws: translation, boost in lattice steps, rotation."""
-        out[:4] = rng.uniform(-2, 2, 4)
-        out[4] = rng.integers(-max_steps, max_steps + 1)
-        out[5] = rng.uniform(-np.pi, np.pi)
-    axial = ((6,), float, draw_axial)
-
-    def axial_elements(draws):
-        return doublet.AxialElement(draws[..., :4], draws[..., 4] * step, draws[..., 5])
+    def element(translation, angle, steps):
+        return doublet.AxialElement(translation, steps * step, angle)
 
     def unitarity(blocks):
-        for _, normals, ops in blocks:
+        for _, normals, translation, angle, steps in blocks:
             s = _doublets(grid, normals, max_steps)
             s_norm = s.norm()
             yield [reduce(np.maximum, [np.abs(op_state.norm() - s_norm) for op_state in (
-                doublet.apply_translation(s, ops[:, :4]),
-                doublet.apply_axial_rotation(s, ops[:, 4]),
-                doublet.apply_axial_boost(s, ops[:, 5] * step),
+                doublet.apply_translation(s, translation),
+                doublet.apply_axial_rotation(s, angle),
+                doublet.apply_axial_boost(s, steps * step),
                 doublet.apply_u_lambda_inf(s),
                 doublet.apply_u_minus_i(s))])]
     results = _sampled_rows([("unitarity of every representation operator", 1e-12, boost_note)],
-                            trials, n, unitarity, (normals, ((6,), float, draw_operators)))
+                            seed, trials, n, unitarity, states=states, **operators(3))
 
     def involutions(blocks):
         for _, normals in blocks:
@@ -407,25 +375,27 @@ def rep_checks(grid_size: int = 16, helicity: int = 1, trials: int = 100,
             twice.append(doublet.apply_u_minus_i(doublet.apply_u_minus_i(s)))
             yield [_trial_gap(reduce(np.maximum, [np.abs(t.amps - s.amps) for t in twice]))]
     results += _sampled_rows([("sector swap and momentum reversal are involutions", 0.0, "")],
-                             trials, n, involutions, (normals,))
+                             seed, trials, n, involutions, states=states)
 
+    # each quantity draws the pair (g1, g2) of a trial together
     def homomorphism(blocks):
-        for _, normals, g1, g2 in blocks:
+        for _, normals, *pairs in blocks:
             s = _doublets(grid, normals, 2 * max_steps)
-            g1, g2 = axial_elements(g1), axial_elements(g2)
+            g1, g2 = (element(*(q[:, i] for q in pairs)) for i in range(2))
             left = doublet.apply_axial(doublet.apply_axial(s, g2), g1)
             right = doublet.apply_axial(s, doublet.axial_product(grid, g1, g2))
             yield [_trial_gap(left.amps, right.amps)]
     results += _sampled_rows([("axial subgroup homomorphism", 1e-10, boost_note)],
-                             trials, n, homomorphism, (normals, axial, axial))
+                             seed, trials, n, homomorphism, states=states,
+                             **operators(2, shape=(2,)))
 
     def covariance(blocks):
-        for _, normals, g in blocks:
-            s, g = _doublets(grid, normals, max_steps), axial_elements(g)
+        for _, normals, *g in blocks:
+            s, g = _doublets(grid, normals, max_steps), element(*g)
             yield [np.maximum(doublet.check_covariance(s, g, "lambda-inf"),
                               doublet.check_covariance(s, g, "minus-i"))]
     results += _sampled_rows([("covariance under both discrete conjugations", 1e-10, boost_note)],
-                             trials, n, covariance, (normals, axial))
+                             seed, trials, n, covariance, states=states, **operators(2))
 
     # s is the eigenstate (c+, c+)/sqrt(2) plus the eigenstate (c-, -c-)/sqrt(2)
     def decomposition(blocks):
@@ -435,10 +405,11 @@ def rep_checks(grid_size: int = 16, helicity: int = 1, trials: int = 100,
             plus, minus = c_plus / doublet.SQRT2, c_minus / doublet.SQRT2
             yield [_trial_gap(np.stack([plus + minus, plus - minus], axis=-2), s.amps)]
     results += _sampled_rows([("per-point decomposition into swap eigenstates", 1e-12, "")],
-                             trials, n, decomposition, (normals,))
+                             seed, trials, n, decomposition, states=states)
 
     # U(lambda_inf) with eigenvalue eps' scales an eps-labelled eigenstate by eps * eps'
-    devs = []
+    name = "swap eigenstates carry their labels"
+    rng, devs = _stream(seed, name, "psi"), []
     for eps in (1, -1):
         psi = _complex_normal(rng, n)
         psi = psi / np.linalg.norm(psi)
@@ -446,13 +417,14 @@ def rep_checks(grid_size: int = 16, helicity: int = 1, trials: int = 100,
         for eps_u in (1, -1):
             swapped = doublet.apply_u_lambda_inf(state, eps_u)
             devs.append(_dist(swapped.amps, eps * eps_u * state.amps))
-    results.append(_result("swap eigenstates carry their labels", _dist(devs), 1e-12))
+    results.append(_result(name, _dist(devs), 1e-12))
     return results
 
 
-# bell_checks evaluates the dictionary row over blocks of this many rows of
-# A1, so beyond A2 it holds one block of A1's rows and one of A1 A2's (an
-# eighth of a matrix at N = 1024, against a half at 256 rows).  Formed in
+# bell_checks draws A1 from its stream and evaluates the dictionary row in
+# blocks of this many of A1's rows, so beyond A2 it holds one block of A1's
+# rows and one of A1 A2's (an eighth of a matrix at N = 1024, against a half
+# at 256 rows).  Formed in
 # these blocks, A1 A2 and A1 psi kept the bits of the whole products at every
 # N from 65 to 699 on one OpenBLAS thread and on two, and at 249 sizes from
 # 700 to 2048 on two.
@@ -472,14 +444,15 @@ def _row_slices(n: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
-# A bell-check trial above TRIAL_BLOCK matrix entries keeps one dense complex
-# N x N matrix alive, A2, plus a block of ROW_BLOCK rows of A1 and of A1 A2:
-# A1 is replayed block by block (_Replay), and the unit row's identity is
-# built after A2 is freed.  Its dense draws make no temporary of a matrix's
-# size; from N = 46 on a block is one trial.  Traced peak (tracemalloc):
-# 18.4 MiB at N = 1024 (1.15 matrices of 16 MiB) and 68.7 MiB at N = 2048
-# (1.07 matrices of 64 MiB), 36.2 and 136.4 MiB when A1 was kept whole.  At
-# N = 8 a block holds 64 trials and the suite peaks at 0.41 MB.
+# A bell-check trial keeps one dense complex N x N matrix alive, A2, plus a
+# block of ROW_BLOCK rows of A1 and of A1 A2: A1 has a stream of its own,
+# from which the dictionary row draws it one row block at a time, and the
+# unit row's identity is built after A2 is freed.  Its dense draws make no
+# temporary of a matrix's size; from N = 46 on a block is one trial.  Traced
+# peak (tracemalloc): 18.3 MiB at N = 1024 (1.14 matrices of 16 MiB) and
+# 68.5 MiB at N = 2048 (1.07 matrices of 64 MiB), 36.2 and 136.4 MiB when A1
+# was kept whole.  At N = 8 a block holds 64 trials and the suite peaks at
+# 0.41 MB.
 BELL_MAX_GRID_SIZE = 2048
 
 
@@ -487,12 +460,11 @@ def bell_checks(grid_size: int = 8, trials: int = 100, seed: int = 0) -> list[Ch
     """Dictionary invariants on omega_i = 1.25**i with N = grid_size points.
 
     The two dense rows run over blocks of max(1, TRIAL_BLOCK // N^2) trials,
-    drawn trial by trial and evaluated as one stack.  Per trial the dictionary
-    row keeps one dense N x N matrix, A2, and walks A1 in blocks of ROW_BLOCK
-    rows: up to TRIAL_BLOCK entries A1 is drawn into the block's buffer and
-    read as one block, above it its rows are drawn again from saved generator
-    states (_Replay).  Traced peak: 18.4 MiB at N = 1024 and 68.7 MiB at
-    N = 2048, the cap.
+    and draw each of their quantities for a block in one call, under
+    STREAM_RULE.  The dictionary row keeps one dense N x N matrix, A2, and
+    draws A1 from its stream in blocks of ROW_BLOCK rows (_row_slices; one
+    slice up to N = 64), each block used and freed before the next is drawn.
+    Traced peak: 18.3 MiB at N = 1024 and 68.5 MiB at N = 2048, the cap.
     """
     if grid_size < 1:
         raise ValueError(f"grid size must be positive, got {grid_size}")
@@ -500,37 +472,32 @@ def bell_checks(grid_size: int = 8, trials: int = 100, seed: int = 0) -> list[Ch
         raise ValueError(f"grid-size must be at most {BELL_MAX_GRID_SIZE}, got {grid_size}")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    rng = _rng(seed)
     grid = doublet.FrequencyGrid(1.0, 1.25, grid_size)
     n = grid_size
-    normals = ((2, 2, n), float, rng.standard_normal)
-    dense = ((n, n), complex, partial(_complex_normal, rng))
-    factor = ((2, 2), complex, partial(_complex_normal, rng))
-    replayed = n * n > TRIAL_BLOCK
-
-    def replay(out):
-        out[0] = _Replay(rng, n)
+    states, dense, factor = _complex_draw(2, n), _complex_draw(n, n), _complex_draw(2, 2)
 
     def rows_of(a, b, s):
         """Those rows of iota(A x B) s, from a block of A's rows: apply_block's arithmetic."""
         return qubit.apply_block(qubit.BlockOperator(a, b), s).amps
 
+    # a block of more than one trial has N <= 45, so one slice: A1's rows are
+    # drawn in trial order
     def dictionary(blocks):
-        for _, d1, d2, a1, a2, b1, b2 in blocks:
+        for count, d1, d2, a1, a2, b1, b2 in blocks:
             s1, s2 = _doublets(grid, d1), _doublets(grid, d2)
             iso = doublet._cabs(doublet._vdot(qubit.sector_isometry(s1), qubit.sector_isometry(s2))
                                 - doublet._vdot(s1.amps, s2.amps))
             inner = qubit.apply_block(qubit.iota(a2, b2), s1)
             b12, b1_h = b1 @ b2, np.swapaxes(b1.conj(), -1, -2)
             forward, left, right = (np.empty_like(s1.amps) for _ in range(3))
-            slices = _row_slices(n) if replayed else [slice(None)]
             # adjoint: <s2, iota(A x B) s1> = <iota(A^H x B^H) s2, s1>, with
             # A^H psi_j summed over A's row blocks, then mixed as apply_block
             # mixes.  Above one block the sum rounds unlike one product, but
             # the left-right gap, at least 16x larger in 200 trials at N = 65
             # to 130, sets the row's value.
             a_h_psi = None
-            for rows, a in zip(slices, a1[0, 0].rows(slices) if replayed else [a1]):
+            for rows in _row_slices(n):
+                a = _complex_normal(a1, (count, rows.stop - rows.start, n))
                 forward[..., rows] = rows_of(a, b1, s1)
                 left[..., rows] = rows_of(a, b1, inner)
                 right[..., rows] = rows_of(a @ a2, b12, s1)
@@ -538,7 +505,7 @@ def bell_checks(grid_size: int = 8, trials: int = 100, seed: int = 0) -> list[Ch
                 term = (a_h[..., None, :, :] @ s2.amps[..., rows, None])[..., 0]
                 a_h_psi = term if a_h_psi is None else a_h_psi + term
                 del a, a_h  # freed before the next block's rows are drawn
-            del a1, a2  # freed before the unit row builds its N x N identity
+            del a2  # freed before the unit row builds its N x N identity
             adj = (b1_h[..., :, 0, None] * a_h_psi[..., None, 0, :]
                    + b1_h[..., :, 1, None] * a_h_psi[..., None, 1, :])
             unit = qubit.apply_block(qubit.iota(np.eye(n, dtype=complex), qubit.ID2), s1)
@@ -547,9 +514,9 @@ def bell_checks(grid_size: int = 8, trials: int = 100, seed: int = 0) -> list[Ch
                 doublet._cabs(doublet._vdot(s2.amps, forward) - doublet._vdot(adj, s1.amps))])]
     results = _sampled_rows([("sector isometry preserves inner products", 1e-12, ""),
                              ("observable embedding is a unital *-homomorphism", 1e-10, "")],
-                            trials, n * n, dictionary,
-                            (normals, normals, ((1,), object, replay) if replayed else dense,
-                             dense, factor, factor))
+                            seed, trials, n * n, dictionary, s1=states, s2=states,
+                            # A1's value is its generator: the row draws it by row blocks
+                            a1=lambda rng, count: rng, a2=dense, b1=factor, b2=factor)
 
     def expectations(blocks):
         for _, d, a, b in blocks:
@@ -557,33 +524,35 @@ def bell_checks(grid_size: int = 8, trials: int = 100, seed: int = 0) -> list[Ch
             del a  # freed before the next block draws its own
             yield [gap]
     results += _sampled_rows([("expectations agree on both sides of the dictionary", 1e-10, "")],
-                             trials, n * n, expectations, (normals, dense, factor))
+                             seed, trials, n * n, expectations, states=states, a=dense, b=factor)
 
     dev = _dist([qubit.u_lambda_conjugation_check(1), qubit.u_lambda_conjugation_check(grid_size)])
     results.append(_result("conjugated sector swap equals I x sigma_x", dev, 1e-14))
 
-    devs = []
-    psi = _complex_normal(rng, n)
+    name, devs = "swap eigenstates give correlation +-1", []
+    psi = _complex_normal(_stream(seed, name, "psi"), n)
     psi = psi / np.linalg.norm(psi)
     identity = np.eye(n, dtype=complex)
     for eps in (1, -1):
         state = doublet.make_epsilon_eigenstate(grid, psi, eps)
         lhs, rhs, gap = qubit.expectation_equality(state, identity, qubit.PAULI_X)
         devs += [gap, abs(lhs - eps), abs(rhs - eps)]
-    results.append(_result("swap eigenstates give correlation +-1", _dist(devs), 1e-12))
+    results.append(_result(name, _dist(devs), 1e-12))
 
     # one-point doublets through the dictionary: the swap eigenstates are
     # maximally entangled, the forward-only state is a product, and any (f, b)
-    # has the binary entropy of |f|^2; the four draws come after every other row's
+    # has the binary entropy of |f|^2
+    name = "entanglement entropy hits 0 and ln 2 at the extremes"
     point = doublet.FrequencyGrid(1.0, 1.25, 1)
     cases = [(doublet.make_epsilon_eigenstate(point, [1.0], eps), math.log(2.0))
              for eps in (1, -1)]
     cases.append((doublet.DoubletState(point, [1.0], [0.0]), 0.0))
+    rng = _stream(seed, name, "states")
     for _ in range(4):
         s = _random_doublet(rng, point)
         p_fwd, p_bwd = np.abs(s.amps[:, 0]) ** 2
         cases.append((s, -p_fwd * math.log(p_fwd) - p_bwd * math.log(p_bwd)))
     dev = _dist([qubit.entanglement_entropy(qubit.doublet_to_path_polarization(s))
                  for s, _ in cases], [entropy for _, entropy in cases])
-    results.append(_result("entanglement entropy hits 0 and ln 2 at the extremes", dev, 1e-12))
+    results.append(_result(name, dev, 1e-12))
     return results

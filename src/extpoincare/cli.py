@@ -128,6 +128,7 @@ def _cmd_rep_check(args) -> int:
         "grid_size": args.grid_size,
         "helicity": args.helicity,
         "trials": args.trials,
+        "stream_rule": checks.STREAM_RULE,
     }, _report_lines(results))
 
 
@@ -136,6 +137,7 @@ def _cmd_bell_check(args) -> int:
     return _check_report(args, results, {
         "grid_size": args.grid_size,
         "trials": args.trials,
+        "stream_rule": checks.STREAM_RULE,
     }, _report_lines(results))
 
 

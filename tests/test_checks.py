@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -19,29 +20,29 @@ def _traced_peak(fn, *args) -> int:
         tracemalloc.stop()
 
 
-def test_complex_draw_matches_the_sum_of_two_normal_draws_bit_for_bit():
-    # below, at and above TRIAL_BLOCK values, where each part is drawn in chunks
-    rng, twin = np.random.default_rng(5), np.random.default_rng(5)
-    block = checks.TRIAL_BLOCK
-    for shape in ((7,), (2, 2), (33, 33), (block,), (2, block // 2), (block + 1,),
-                  (3, 65, 64), (300, 300)):
-        stacked = np.empty((2, *shape), dtype=complex)
-        for got in (checks._complex_normal(rng, shape),
-                    checks._complex_normal(rng, out=stacked[1])):
-            want = twin.standard_normal(shape) + 1j * twin.standard_normal(shape)
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        assert np.shares_memory(got, stacked)
-    assert rng.standard_normal() == twin.standard_normal()
+# blocks of ROW_BLOCK rows, then a one-row tail, drawn in turn from one
+# stream: each entry takes its real part, then its imaginary part
+@pytest.mark.parametrize("n", [65, 257, 300, 1024])
+def test_complex_normal_row_blocks_tile_the_whole_draw_bit_for_bit(n):
+    rng, twin, raw = (checks._stream(n, "row", "a1") for _ in range(3))
+    edges = [*range(0, n - 1, checks.ROW_BLOCK), n - 1, n]
+    got = np.concatenate([checks._complex_normal(rng, (hi - lo, n))
+                          for lo, hi in zip(edges, edges[1:])])
+    for want in (checks._complex_normal(twin, (n, n)), raw.standard_normal((n, 2 * n))):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert got.dtype == complex and got.shape == (n, n)
+    assert rng.standard_normal() == twin.standard_normal() == raw.standard_normal()
 
 
 @pytest.mark.parametrize("interior", [0, 1, 3])
 def test_random_doublet_draws_the_bits_of_two_complex_normal_draws(interior):
+    # the forward row's entries, then the backward row's, each real then imaginary
     grid = doublet.FrequencyGrid(1.0, 1.25, 9)
-    rng, twin = np.random.default_rng(11), np.random.default_rng(11)
+    rng, twin, raw = (np.random.default_rng(11) for _ in range(3))
     for _ in range(3):
         got = checks._random_doublet(rng, grid, interior).amps
         want = np.array([checks._complex_normal(twin, 9), checks._complex_normal(twin, 9)])
+        assert np.array_equal(want.view(np.uint64), raw.standard_normal((2, 18)).view(np.uint64))
         if interior:
             want[:, :interior] = 0.0
             want[:, 9 - interior:] = 0.0
@@ -49,6 +50,22 @@ def test_random_doublet_draws_the_bits_of_two_complex_normal_draws(interior):
         assert got.shape == want.shape and not got.flags.writeable
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert rng.standard_normal() == twin.standard_normal()
+
+
+@pytest.mark.parametrize("suite, run", [("rep", lambda: checks.rep_checks(16, 1, 5, 3)),
+                                        ("bell", lambda: checks.bell_checks(8, 5, 3))])
+def test_each_row_and_quantity_has_one_stream_keyed_by_the_row_name(monkeypatch, suite, run):
+    names = [r.name for r in run()]
+    keys, stream = [], checks._stream
+
+    def recording(*args):
+        rng = stream(*args)
+        keys.append(rng.bit_generator.seed_seq.spawn_key)
+        return rng
+    monkeypatch.setattr(checks, "_stream", recording)
+    run()
+    assert len(keys) == len(set(keys)) > 0
+    assert {row for row, _ in keys} <= {zlib.crc32(name.encode()) for name in names}, suite
 
 
 # (suite, lattice points or matrix entries per trial) at the default sizes
@@ -78,21 +95,6 @@ def test_rep_checks_hold_about_27_grid_vectors():
     # 26.6 complex N-vectors (1.75 MB) traced at N = 4096, for any number of trials
     n = 4096
     assert _traced_peak(checks.rep_checks, n, 1, 3, 0) <= 28 * 16 * n
-
-
-@pytest.mark.parametrize("n", [65, 257, 300, 1024])
-def test_replayed_rows_equal_the_stored_draw_bit_for_bit(n):
-    rng, twin = np.random.default_rng(n), np.random.default_rng(n)
-    for generator in (rng, twin):
-        generator.standard_normal(3)
-    replay = checks._Replay(rng, n)
-    want = checks._complex_normal(twin, (n, n))
-    assert rng.standard_normal() == twin.standard_normal()
-    # blocks of ROW_BLOCK rows, then a one-row tail
-    edges = [*range(0, n - 1, checks.ROW_BLOCK), n - 1, n]
-    slices = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
-    got = np.concatenate(list(replay.rows(slices)))
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 # a1 @ a2 formed one row block at a time keeps the bits of the full product;
@@ -139,28 +141,28 @@ def test_group_checks_past_one_block_keep_every_row():
 def _synthetic_rows(monkeypatch, values_per_block, per_block=2):
     """_sampled_rows on a deviation row and a count row, with the given values per block.
 
-    Each block draws one uniform per trial; the rows' values are replaced by
-    values_per_block[b] for block b, so only the folding of _sampled_rows is tested.
+    Each block draws one uniform per trial in one call; the rows' values are
+    replaced by values_per_block[b] for block b, so only the folding of
+    _sampled_rows is tested.
     """
     monkeypatch.setattr(checks, "TRIAL_BLOCK", per_block)
-    rng, seen = np.random.default_rng(0), []
+    seen = []
 
     def evaluate(blocks):
         for b, (count, x) in enumerate(blocks):
-            seen.append(x[:, 0].copy())
+            seen.append(x)
             deviation, failed = values_per_block[b]
             yield [np.full(count, deviation), np.arange(count) < failed]
 
-    def draw(out):
-        out[0] = rng.uniform()
-
     rows = [("deviation", 1e-12, "a note"), ("count", 0.0, "")]
     trials = per_block * (len(values_per_block) - 1) + 1
-    results = checks._sampled_rows(rows, trials, 1, evaluate, [((1,), float, draw)])
-    # each trial drew its value in turn, in blocks of per_block, the last of one trial
+    results = checks._sampled_rows(rows, 7, trials, 1, evaluate,
+                                   x=lambda rng, count: rng.uniform(size=count))
+    # blocks of per_block trials, the last of one, drawn in turn from the
+    # quantity's stream, keyed by the first row's name
     assert [len(x) for x in seen] == [per_block] * (len(values_per_block) - 1) + [1]
     assert np.array_equal(np.concatenate(seen),
-                          np.random.default_rng(0).uniform(size=trials))
+                          checks._stream(7, "deviation", "x").uniform(size=trials))
     return results
 
 

@@ -48,55 +48,55 @@ GOLDEN = {
     "group-check --convention coordinate --seed 0":
         "3c48dd12c8a8aa2bf380549b8f38b06afd1ef346159b95e80fd64d8363de7583",
     "rep-check --seed 0":
-        "9b9ebceccc0e9b9da1a1a6a28fab43a4b50074a36b957e01acba5b120dd34f72",
+        "64b313a1310c8c7209972c5aca57dcb337481de0b327e2e4b4b271fadb6d7857",
     "bell-check --seed 0":
-        "f1dabe7957af8461f5e54d7fa8044bebd4f3e5dbaef49bf92ff44e26893011c6",
+        "d94ba4d480a0d49f2072918ce060dcbe9e1b1da81cddff7c847d1428437bf335",
     "group-check --seed 1":
         "87f4e3ba3f0feb0520c7a841c744ccca9af3cfe03fad525e44875d14d9816b4c",
     "group-check --convention coordinate --seed 1":
         "6fbbf9b93e193a8aed4453249fb06884b93b5a9a979866f0d2396702ea1fa741",
     "rep-check --seed 1":
-        "9743914922761117d7800d103dd9b5008d1894e67fe1aa077e12d9bcc75a8f2f",
+        "e918a270230605f06f0f3fe9f380afe98d186ab137677010036b9932aece6a23",
     "bell-check --seed 1":
-        "4670e7a2bf61c2e44cf7fa40d96c7bb867b5ea0004b314f4f2d2a709b6bdd326",
+        "73cbe0246db447cae06ef3d8b843f54362d5f22b8724a34743f3c1034845715c",
     "group-check --seed 2":
         "3f2935d0473566fd9e25cd89b8fb83b266d4b56a4293d14006db4f3cf79343b2",
     "group-check --convention coordinate --seed 2":
         "11ffecd7a88e6e3b42f59502c84c4a4247c93acada9ef3dbc80ab5577af26f4c",
     "rep-check --seed 2":
-        "b7792a82c2a3c34369f394ec3c91a51893736221e967c5e77367507f952ce245",
+        "7d3e7dc081f9c5ff3089b777e772a8922b39dd418c74483484b9fefb053092ae",
     "bell-check --seed 2":
-        "2fd28b8c03cf2cd257362d8e22603ea8d844762dee3261deeb59613fdbfc1fc6",
+        "498825d1b2ff91bf7a978418e86ae3e525a26de5ec94df0560feb45b3fa7e9ca",
     "group-check --seed 3":
         "7d50774ec3300dada9b167e29b7e90a879a998bb23584b8f9f0589b5eb6bd603",
     "group-check --convention coordinate --seed 3":
         "c70bad4a890f98ec4309d01a86f855bc9b5176f0dafb3c4d03046c8575991c5b",
     "rep-check --seed 3":
-        "827d6a3c712904c9de0930b9625f3fe3732e47638c29d21dc4a86f0a3d906810",
+        "a37a964bf1446a20ad47b3437f3581eb8784bb4dccae9981c1c0dc5502c56a43",
     "bell-check --seed 3":
-        "f8efb8027e7943c7510f8f751cc533a8ea6c7a7639a5b60508ecc0ce3ffae43f",
+        "26c7b7fbd35bccbc000362c878f1bf79515ee4f81e20524569f0fbd16795ac13",
     "group-check --seed 4":
         "c5a496d093a1062c470642c68a52e4b41a910119ec9ac5154231a3365b1dcd44",
     "group-check --convention coordinate --seed 4":
         "484fd58e3f90627c4bd1f957cc7d17c1186573c998a2aa7de8298688da545da1",
     "rep-check --seed 4":
-        "b1f32d429792da559c94e2ed7dbef3ddbcf5336ae06735594c9dfe2db2781cbf",
+        "7e6001149e66655b5fa873c74ccfa8f21ec2f5f0462abd8fb63aee6de29a90e0",
     "bell-check --seed 4":
-        "cf3eeb3be029de3c70e99bdcd097a5079395e3e2a5c7253362c99352cb2a1c9c",
+        "ef05e742f18ce8681d57d375db950426738b113981aa83bcdd2cf9e8d1b5f1bc",
     "group-check --seed 5":
         "346b16afa041a7e93d935dbc4cefae558f9ff6c62ef047f097fdf73e38fe0202",
     "group-check --convention coordinate --seed 5":
         "018939a0b317de1820aa1a46bb03844a387ac4c1afc84f9a5d217ee1f2936a1a",
     "rep-check --seed 5":
-        "60e4dda815f306c5193f6d8e5ff7f19ecf9c9ea187f5e655b1e5c6cb48bfd7c0",
+        "abda7e25ef7b57e49e58695c92e67c21922274d2cefa6b23535a1987ba654ae1",
     "bell-check --seed 5":
-        "4a0448e725a9d6ee294c54a6685d356b37ae19aa24e50329aef4998b3601cd96",
+        "55ddb3604e540e3d041138a356fdb33352656f56ecbdf11dcbf68f551cbfc352",
     "group-check --format json --seed 1":
         "a69d6faf45de6e6b373c397b2a20befb1b76253cd703713f22c258d63cd0e16c",
     "rep-check --format json --seed 1":
-        "86c8380dd997dfff9a8ca89c2e0d1c3ce1cee7d9890fb337a82cbd5fad59bbc1",
+        "4f566d868e3950a5fc299876404b2c9d8f7eeb0a48728849d4fb47db01b28416",
     "bell-check --format json --seed 1":
-        "4fc85e182545f903d8cfcc3c9770a1c2119feb915c0bd6abad160149cc899aee",
+        "080487130d4552bbc9e07c90d592963546f6ac9706a29e9dffaa9d030d642fdc",
     "group-check --samples 5000 --seed 2":
         "3c1b44f933e334b19ffc0248f8da015d0ee97fad00ce5bd843e0e5807fba37ab",
     # block edges: 4096 + 4096 + 1 samples, one sample, 256 + 1 and 64 + 64 + 1 trials
@@ -105,41 +105,41 @@ GOLDEN = {
     "group-check --samples 1 --seed 0":
         "2bae4d476f399df0987c330164e03ca555be4fb400cc4293570ee87490befc36",
     "rep-check --trials 257 --seed 2":
-        "ae1d53adac9bdf528bf303b4aa97ff634ed6c2452ee960ac01b6ea3f552463bb",
+        "e2662e5982c46640a24c099f94864b860e7732728680c40433a2253dba6ce5eb",
     "bell-check --trials 129 --seed 2":
-        "1e877a722d74057d4aabff219e52310019756feb4275c672cdf0ed26a8683c42",
+        "0f7c003259eed42e5a6ce2e18b2e4a511c252aa731bab2063ef05e5dcbee8680",
     "rep-check --grid-size 4096 --trials 20 --seed 0":
-        "76a7dfd0d0d7cc50cb63a6f0cc8de1f77695014395c076b2bea3c34ca47d25b5",
+        "20a9b7451eb2428490d47a7d384bd34d5fd1288066ee94f5152eb259ef471713",
     "rep-check --grid-size 4096 --trials 20 --seed 1":
-        "32df91bd80a7f86c8fc89edf74e884000fc8eff0a24ae4edb3edb3783a2f8569",
+        "03b78d4091c74527eb5e788f2d1c8077b138aec71ef2955cd886e1918777493f",
     "rep-check --grid-size 256 --trials 20 --seed 0":
-        "0f61b26dca75444f35d28f05f039a1c04c133dc913aabd982d01838a0e4b733d",
+        "de8d82ea8b1a9c8ce97564855427a27ddac4db9ed74cc94e44fa0dc6ea473d21",
     "rep-check --grid-size 256 --trials 20 --seed 1":
-        "aa88bd3f0d378d9bad9f9263c09dbbe6542dc28cee540eb57ad4b2f22abd1387",
+        "403386e44803469007106746e9b82d60f3a787eafc7fb978bc3c68c7dfa5b979",
     "rep-check --grid-size 5 --helicity -2 --seed 0":
-        "1f76346eede3b48332e0e3be06df099aa8661ec6ed2d76468624b682e04a31a6",
+        "abbb117208788b9af28dcfe52427c08f5a6087b9e339c384ca681192faca3b8a",
     "rep-check --grid-size 1 --trials 3 --seed 0":
-        "c68ddd97284986f748ab1301a680d079243e5a25d40e9cbe28a89387c5644c49",
+        "74b1940ad063e87711943c7d3f50d4b7c9f6438d9e46d7728f151020205be2b2",
     "bell-check --grid-size 1024 --trials 1 --seed 0":
-        "663051a2e1861bc064f38060a22004f0d49df6556aeeef7f1a5ad82ab7e7a73e",
+        "863ab82d12e4b53199d52c7d865c8a74f657de9aa4b16e63302d48add293fda9",
     "bell-check --grid-size 128 --trials 20 --seed 0":
-        "2cb98089d76abc38a9b9406f182bd70e0298cab916b8e1b744f015df95caa4c1",
+        "bffe68a1e97b052d9c90ba3646fd381cfa85b3676da2fcbd549a640d05d74d42",
     "bell-check --grid-size 1 --trials 5 --seed 0":
-        "99621de8e383f5d041546f25713046b28ab43cd470e660e4efee85e033be832f",
+        "df03a1b411125beab1a345856cbbc8ea3718ae0e4a0bff60c14fbe27cca95c7c",
     "bell-check --grid-size 5 --trials 2 --seed 0":
-        "29689357894338eb088fad267b07b88adeb9358b850db31cba48bde98443a1ca",
+        "f6a44e30ab0d98b91af5c6e1e9fd63e7dc5a4325da3109a5450003b8c03dd4a8",
     "bell-check --grid-size 46 --trials 2 --seed 0":
-        "36f987aee69d5292eb9428513c3253e65f4657d074f3d645ec11b10414566828",
+        "259372f93e08a56c4b4a39f5a03b7627f33d676cb3b9a183c3d203c4d08fd882",
     "bell-check --grid-size 65 --trials 2 --seed 0":
-        "2a5540bd0be90f561fc743fc8dd75a1967e9c226324ec390a1efe749be34a39b",
+        "2b5f006a56c3e9358bf758c2d3d1a4bdc46ecd4416e551fe434b21ed3a1c53ec",
     "bell-check --grid-size 66 --trials 2 --seed 0":
-        "a9e6462765668f64698d3c503f80a6c90ec57054926dcdaf6087b7c7fdf8222f",
+        "adca29d8a318b30411b8136b3312c91d18ba55fe6777f1f180b70f628e7fd68a",
     # N = 64, whose 64^2 = 4096 matrix entries are one TRIAL_BLOCK, and
     # N = 200, past it, over three trials
     "bell-check --grid-size 64":
-        "cec773d007e36177b133829339cd825a87bf530139b5df56eb4b87dbbf0a8c18",
+        "76a65cd9486e43d2073bbf95a8cdac9185794fc7ac2ff7a13badac73991d5868",
     "bell-check --grid-size 200 --trials 3 --seed 0":
-        "a91027bb5b63902bd84f4e0b38822d38e04c93f9137b57dfbdb58d778a3972b6",
+        "bfc40d129e99d601581f8b260267ca70e3e6de823323d9d793df3f903b7050a1",
     "orbit 1 0 0 1":
         "55680dc0bbbcae4797e99c946f24f18e1fe23025dc432a5474b9f730a1c90a8e",
     "orbit 2 0.3 -0.4 1 --theta 0.3 --phi 1.1":
