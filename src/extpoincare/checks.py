@@ -48,7 +48,8 @@ def _rng(seed: int, spawn_key=()) -> np.random.Generator:
 
 STREAM_RULE = ("check stream v1: quantity q of row r draws from numpy "
                "default_rng(SeedSequence(seed, spawn_key=(crc32(r), crc32(q)))), "
-               "r the row name and q the quantity name in UTF-8; each quantity is "
+               "r the row name (rows evaluated together share their first row's "
+               "name) and q the quantity name, both in UTF-8; each quantity is "
                "drawn in trial order, a block of trials in one call, and a complex "
                "normal takes each entry's real part, then its imaginary part")
 
@@ -302,11 +303,6 @@ def _complex_draw(*shape):
     return lambda rng, count: _complex_normal(rng, (count, *shape))
 
 
-def _uniform_draw(low: float, high: float, *shape):
-    """The draw(rng, count) of count uniform arrays of ``shape`` on [low, high)."""
-    return lambda rng, count: rng.uniform(low, high, (count, *shape))
-
-
 # Note for the rep_checks rows that draw boosts: at N <= 4 the padding leaves
 # no interior to shift into, so every drawn boost is the identity.
 NO_BOOST_NOTE = "no boost exercised: a grid of 4 or fewer points has no room to shift"
@@ -346,10 +342,10 @@ def rep_checks(grid_size: int = 16, helicity: int = 1, trials: int = 100,
 
     def operators(reach, shape=()):
         """An element's quantities: translation in [-reach, reach)^4, angle, steps of boost."""
-        return dict(translation=_uniform_draw(-reach, reach, *shape, 4),
-                    angle=_uniform_draw(-np.pi, np.pi, *shape),
-                    steps=lambda rng, count: rng.integers(-max_steps, max_steps + 1,
-                                                          (count, *shape)))
+        return dict(
+            translation=lambda rng, count: rng.uniform(-reach, reach, (count, *shape, 4)),
+            angle=lambda rng, count: rng.uniform(-np.pi, np.pi, (count, *shape)),
+            steps=lambda rng, count: rng.integers(-max_steps, max_steps + 1, (count, *shape)))
 
     def element(translation, angle, steps):
         return doublet.AxialElement(translation, steps * step, angle)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from extpoincare import cli, experiment
+from extpoincare import checks, cli, experiment
 
 # repr of tiny negative floats: exponent forms that argparse's own matcher
 # takes for options
@@ -263,6 +263,15 @@ def test_check_commands_reject_a_negative_seed_naming_it(capsys, command):
                                      ["group-check", "--samples", "1"]])
 def test_check_commands_accept_a_seed_past_64_bits(capsys, command):
     assert run_cli([*command, "--seed", str(2 ** 100)]) == 0
+
+
+# group-check still draws from one shared default_rng(seed), so it states no rule
+@pytest.mark.parametrize("command, rule", [("rep-check", checks.STREAM_RULE),
+                                           ("bell-check", checks.STREAM_RULE),
+                                           ("group-check", None)])
+def test_check_reports_state_their_stream_rule(capsys, command, rule):
+    assert run_cli([command, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out).get("stream_rule") == rule
 
 
 def test_experiment_run_writes_csv_and_manifest(tmp_path, capsys):

@@ -48,55 +48,55 @@ GOLDEN = {
     "group-check --convention coordinate --seed 0":
         "3c48dd12c8a8aa2bf380549b8f38b06afd1ef346159b95e80fd64d8363de7583",
     "rep-check --seed 0":
-        "64b313a1310c8c7209972c5aca57dcb337481de0b327e2e4b4b271fadb6d7857",
+        "3667e12ae88f5d19f7524083f99e5be8fbad581b7018febfa03fb6081fb5feb6",
     "bell-check --seed 0":
-        "d94ba4d480a0d49f2072918ce060dcbe9e1b1da81cddff7c847d1428437bf335",
+        "c0001824d2f9f5ecd637107667bfc8102e0775533ac911214c131b607d06fa9e",
     "group-check --seed 1":
         "87f4e3ba3f0feb0520c7a841c744ccca9af3cfe03fad525e44875d14d9816b4c",
     "group-check --convention coordinate --seed 1":
         "6fbbf9b93e193a8aed4453249fb06884b93b5a9a979866f0d2396702ea1fa741",
     "rep-check --seed 1":
-        "e918a270230605f06f0f3fe9f380afe98d186ab137677010036b9932aece6a23",
+        "0dd29733ab4264e7b6fb89ca47ffe016dd9a346ed2fcbf88db721eaa36c6bfca",
     "bell-check --seed 1":
-        "73cbe0246db447cae06ef3d8b843f54362d5f22b8724a34743f3c1034845715c",
+        "467e88a776f7e2a50eca79e8450c14298011227d53fc1b81ec1ed9ad8c2279d0",
     "group-check --seed 2":
         "3f2935d0473566fd9e25cd89b8fb83b266d4b56a4293d14006db4f3cf79343b2",
     "group-check --convention coordinate --seed 2":
         "11ffecd7a88e6e3b42f59502c84c4a4247c93acada9ef3dbc80ab5577af26f4c",
     "rep-check --seed 2":
-        "7d3e7dc081f9c5ff3089b777e772a8922b39dd418c74483484b9fefb053092ae",
+        "dbe185f2631fedf8881f0c6977cce7f94ff3505f3ad0f8b1fb8a3b5421f6e1e4",
     "bell-check --seed 2":
-        "498825d1b2ff91bf7a978418e86ae3e525a26de5ec94df0560feb45b3fa7e9ca",
+        "1134e7d3ce6a7fc652a4b404bd1c829f1e8f50aa4e87242935aef2fdc0ca76b9",
     "group-check --seed 3":
         "7d50774ec3300dada9b167e29b7e90a879a998bb23584b8f9f0589b5eb6bd603",
     "group-check --convention coordinate --seed 3":
         "c70bad4a890f98ec4309d01a86f855bc9b5176f0dafb3c4d03046c8575991c5b",
     "rep-check --seed 3":
-        "a37a964bf1446a20ad47b3437f3581eb8784bb4dccae9981c1c0dc5502c56a43",
+        "9d35baa9b5b863e10be82dc6fd442030b79eca159fbf1789f6a8ed5fce872ead",
     "bell-check --seed 3":
-        "26c7b7fbd35bccbc000362c878f1bf79515ee4f81e20524569f0fbd16795ac13",
+        "db6c0e331c7797afc619f65c0f477ba3065d74f0440dc2660b9c16fccbfd42e2",
     "group-check --seed 4":
         "c5a496d093a1062c470642c68a52e4b41a910119ec9ac5154231a3365b1dcd44",
     "group-check --convention coordinate --seed 4":
         "484fd58e3f90627c4bd1f957cc7d17c1186573c998a2aa7de8298688da545da1",
     "rep-check --seed 4":
-        "7e6001149e66655b5fa873c74ccfa8f21ec2f5f0462abd8fb63aee6de29a90e0",
+        "59bf07d8fff18c58ac1d468211f1e479d5c3cb30f8794e080bf70c51ddd3d7f5",
     "bell-check --seed 4":
-        "ef05e742f18ce8681d57d375db950426738b113981aa83bcdd2cf9e8d1b5f1bc",
+        "b6f28a8b79b80baad7d2d9c1838266d5d71287a9a4527dea41eb090739ff3737",
     "group-check --seed 5":
         "346b16afa041a7e93d935dbc4cefae558f9ff6c62ef047f097fdf73e38fe0202",
     "group-check --convention coordinate --seed 5":
         "018939a0b317de1820aa1a46bb03844a387ac4c1afc84f9a5d217ee1f2936a1a",
     "rep-check --seed 5":
-        "abda7e25ef7b57e49e58695c92e67c21922274d2cefa6b23535a1987ba654ae1",
+        "673fc285f7029a243cb6e896fcf8c237c432faeec116968d6602e3edf13322ce",
     "bell-check --seed 5":
-        "55ddb3604e540e3d041138a356fdb33352656f56ecbdf11dcbf68f551cbfc352",
+        "36fb023eaa53d1ca1f32ae177e8447a82aacd62b097ee3d7c017f89a9f989bff",
     "group-check --format json --seed 1":
         "a69d6faf45de6e6b373c397b2a20befb1b76253cd703713f22c258d63cd0e16c",
     "rep-check --format json --seed 1":
-        "4f566d868e3950a5fc299876404b2c9d8f7eeb0a48728849d4fb47db01b28416",
+        "3af2bc72b1e23c8f48ab68bcb32d2cca7f275d90d70c42b88db36bbcf71282df",
     "bell-check --format json --seed 1":
-        "080487130d4552bbc9e07c90d592963546f6ac9706a29e9dffaa9d030d642fdc",
+        "9cbafc81265e239f9ed0a6308f750dda6e1e20b06f7545382b3b39eb2d5fbc5a",
     "group-check --samples 5000 --seed 2":
         "3c1b44f933e334b19ffc0248f8da015d0ee97fad00ce5bd843e0e5807fba37ab",
     # block edges: 4096 + 4096 + 1 samples, one sample, 256 + 1 and 64 + 64 + 1 trials
@@ -105,41 +105,41 @@ GOLDEN = {
     "group-check --samples 1 --seed 0":
         "2bae4d476f399df0987c330164e03ca555be4fb400cc4293570ee87490befc36",
     "rep-check --trials 257 --seed 2":
-        "e2662e5982c46640a24c099f94864b860e7732728680c40433a2253dba6ce5eb",
+        "155c11581d12254ac86aabb39b3e5845b133d82775df758c1236ee1756a67d39",
     "bell-check --trials 129 --seed 2":
-        "0f7c003259eed42e5a6ce2e18b2e4a511c252aa731bab2063ef05e5dcbee8680",
+        "995b9faa2fa0a646fa1a1d89d20e0c03e320665970589f7309dd37c0703f0c02",
     "rep-check --grid-size 4096 --trials 20 --seed 0":
-        "20a9b7451eb2428490d47a7d384bd34d5fd1288066ee94f5152eb259ef471713",
+        "a7db5fadb28c315bcdb4ff2e0df82147afdb741545ee031a7c50f0200accc0d7",
     "rep-check --grid-size 4096 --trials 20 --seed 1":
-        "03b78d4091c74527eb5e788f2d1c8077b138aec71ef2955cd886e1918777493f",
+        "b9acba8e5cf831fe01d39039f3c8d8901e7914141a925772a2f12f51fa511cd3",
     "rep-check --grid-size 256 --trials 20 --seed 0":
-        "de8d82ea8b1a9c8ce97564855427a27ddac4db9ed74cc94e44fa0dc6ea473d21",
+        "00cea541f2ee183ef4281994667aa67f2338651fc5d114cb51a507ca15d0678a",
     "rep-check --grid-size 256 --trials 20 --seed 1":
-        "403386e44803469007106746e9b82d60f3a787eafc7fb978bc3c68c7dfa5b979",
+        "fd099e4c807ba42e336769860c8d0c0236c7ff1eb97287e3bef9817de3010834",
     "rep-check --grid-size 5 --helicity -2 --seed 0":
-        "abbb117208788b9af28dcfe52427c08f5a6087b9e339c384ca681192faca3b8a",
+        "7964a27fd90c355e5a2ac5e07d8dbe73d07c0ba7093ce26478b183cd395a60bf",
     "rep-check --grid-size 1 --trials 3 --seed 0":
-        "74b1940ad063e87711943c7d3f50d4b7c9f6438d9e46d7728f151020205be2b2",
+        "81a2e5011114231a26f2beca248678ba01545df525bbab8cca9b38032c10984f",
     "bell-check --grid-size 1024 --trials 1 --seed 0":
-        "863ab82d12e4b53199d52c7d865c8a74f657de9aa4b16e63302d48add293fda9",
+        "747e72887919cf03cfb3d8d2e936471ad0c036fd46dd4a143a2a3879b7e66357",
     "bell-check --grid-size 128 --trials 20 --seed 0":
-        "bffe68a1e97b052d9c90ba3646fd381cfa85b3676da2fcbd549a640d05d74d42",
+        "80a691266409ceb3d060fc6044bddde46a05e6a317be303493f69e1e44676fa6",
     "bell-check --grid-size 1 --trials 5 --seed 0":
-        "df03a1b411125beab1a345856cbbc8ea3718ae0e4a0bff60c14fbe27cca95c7c",
+        "2b8722bb2fb44edaed3ed95aceadb371faed2c1d2c17cde3671ac5ead3153ff6",
     "bell-check --grid-size 5 --trials 2 --seed 0":
-        "f6a44e30ab0d98b91af5c6e1e9fd63e7dc5a4325da3109a5450003b8c03dd4a8",
+        "3e1b066e74dd514f1078ca7d87117557b9d6e55695f283a19269c1c75ce8c66e",
     "bell-check --grid-size 46 --trials 2 --seed 0":
-        "259372f93e08a56c4b4a39f5a03b7627f33d676cb3b9a183c3d203c4d08fd882",
+        "abd9fdb5153f0ed87c4d4d99f34400b00e57af5b38ff89bd98561892533728b5",
     "bell-check --grid-size 65 --trials 2 --seed 0":
-        "2b5f006a56c3e9358bf758c2d3d1a4bdc46ecd4416e551fe434b21ed3a1c53ec",
+        "dcdc470369a3699883231002774e7a2e288c5e281f7ddc514b0d12eee82db743",
     "bell-check --grid-size 66 --trials 2 --seed 0":
-        "adca29d8a318b30411b8136b3312c91d18ba55fe6777f1f180b70f628e7fd68a",
+        "267bd0d12bccb859089787113461580b3787cdbb2347afb4a56e7667a2fe4cab",
     # N = 64, whose 64^2 = 4096 matrix entries are one TRIAL_BLOCK, and
     # N = 200, past it, over three trials
     "bell-check --grid-size 64":
-        "76a65cd9486e43d2073bbf95a8cdac9185794fc7ac2ff7a13badac73991d5868",
+        "abbdf0013c0d6f34f5e1fc97a50f85c08359cb399e36fa6d632eb1552be07ceb",
     "bell-check --grid-size 200 --trials 3 --seed 0":
-        "bfc40d129e99d601581f8b260267ca70e3e6de823323d9d793df3f903b7050a1",
+        "0dc826669e2abbe7b2b092cb9a37ca1ff25392b20f6533567758d58451ce793e",
     "orbit 1 0 0 1":
         "55680dc0bbbcae4797e99c946f24f18e1fe23025dc432a5474b9f730a1c90a8e",
     "orbit 2 0.3 -0.4 1 --theta 0.3 --phi 1.1":
