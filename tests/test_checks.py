@@ -20,10 +20,26 @@ def _traced_peak(fn, *args) -> int:
         tracemalloc.stop()
 
 
-# blocks of ROW_BLOCK rows, then a one-row tail, drawn in turn from one
-# stream: each entry takes its real part, then its imaginary part
+def test_complex_draw_matches_the_sum_of_two_normal_draws_bit_for_bit():
+    # real part plus i times imaginary part, the two interleaved in one normal
+    # draw; below, at and above TRIAL_BLOCK values
+    rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+    block = checks.TRIAL_BLOCK
+    for shape in ((7,), (2, 2), (33, 33), (block,), (2, block // 2), (block + 1,),
+                  (3, 65, 64), (300, 300)):
+        got = checks._complex_normal(rng, shape)
+        parts = twin.standard_normal((*shape, 2))
+        want = parts[..., 0] + 1j * parts[..., 1]
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert rng.standard_normal() == twin.standard_normal()
+
+
+# rows replayed in blocks of ROW_BLOCK rows, then a one-row tail, drawn in turn
+# from one stream, equal the whole draw stored at once: each entry takes its
+# real part, then its imaginary part
 @pytest.mark.parametrize("n", [65, 257, 300, 1024])
-def test_complex_normal_row_blocks_tile_the_whole_draw_bit_for_bit(n):
+def test_replayed_rows_equal_the_stored_draw_bit_for_bit(n):
     rng, twin, raw = (checks._stream(n, "row", "a1") for _ in range(3))
     edges = [*range(0, n - 1, checks.ROW_BLOCK), n - 1, n]
     got = np.concatenate([checks._complex_normal(rng, (hi - lo, n))
