@@ -319,13 +319,19 @@ def rep_checks(grid_size: int = 16, helicity: int = 1, trials: int = 100,
     """Doublet invariants on omega_i = ratio**i, ratio = min(1.25, OMEGA_TOP**(1/(N-1))).
 
     Grids up to N = 31 keep ratio 1.25; larger ones are squeezed so the top
-    frequency stays at OMEGA_TOP.  Each sampled row runs over blocks of
-    max(1, TRIAL_BLOCK // N) trials and draws each of its quantities (states,
-    translation, angle, steps) for a block in one call, under STREAM_RULE.
-    A row holds its block's draws and about 15 complex vectors of a block's
-    trials * N lattice points while it evaluates (0.88 MB traced at N = 4096,
-    one trial per block, and under 1 MB at N = 16 to 3000), and nothing
-    survives the row.
+    frequency stays at OMEGA_TOP.  The five sampled rows (unitarity,
+    involutions, homomorphism, covariance, decomposition) are evaluated
+    together over blocks of max(1, TRIAL_BLOCK // N) trials, so under
+    STREAM_RULE they draw under the unitarity row's name.  A block draws its
+    states once, and each row builds its own state from them, zero-padded by
+    the boost steps its operators may shift.  The other quantities are
+    translation, angle and steps (reach 3, the unitarity row), pair_* (reach
+    2, the homomorphism row's pair g1, g2) and cov_* (reach 2, covariance).
+    The rows run one at a time: a row holds the block's draws, its state and
+    its temporaries, about 13 complex vectors of the block's trials * N
+    lattice points (0.84 MB traced at N = 4096, one trial per block, and
+    under 1 MB at N = 16 to 3000), and nothing survives the row.  The
+    swap-eigenstate row draws psi from a stream of its own.
     """
     if grid_size < 1:
         raise ValueError(f"grid size must be positive, got {grid_size}")
@@ -338,70 +344,69 @@ def rep_checks(grid_size: int = 16, helicity: int = 1, trials: int = 100,
     max_steps = min(3, (grid_size - 1) // 4)
     n = grid_size
     boost_note = "" if max_steps else NO_BOOST_NOTE
-    states = _complex_draw(2, n)
 
-    def operators(reach, shape=()):
+    def operators(reach, shape=(), prefix=""):
         """An element's quantities: translation in [-reach, reach)^4, angle, steps of boost."""
-        return dict(
-            translation=lambda rng, count: rng.uniform(-reach, reach, (count, *shape, 4)),
-            angle=lambda rng, count: rng.uniform(-np.pi, np.pi, (count, *shape)),
-            steps=lambda rng, count: rng.integers(-max_steps, max_steps + 1, (count, *shape)))
+        return {
+            prefix + "translation":
+                lambda rng, count: rng.uniform(-reach, reach, (count, *shape, 4)),
+            prefix + "angle": lambda rng, count: rng.uniform(-np.pi, np.pi, (count, *shape)),
+            prefix + "steps":
+                lambda rng, count: rng.integers(-max_steps, max_steps + 1, (count, *shape))}
 
     def element(translation, angle, steps):
         return doublet.AxialElement(translation, steps * step, angle)
 
-    def unitarity(blocks):
-        for _, normals, translation, angle, steps in blocks:
-            s = _doublets(grid, normals, max_steps)
-            s_norm = s.norm()
-            yield [reduce(np.maximum, [np.abs(op_state.norm() - s_norm) for op_state in (
-                doublet.apply_translation(s, translation),
-                doublet.apply_axial_rotation(s, angle),
-                doublet.apply_axial_boost(s, steps * step),
-                doublet.apply_u_lambda_inf(s),
-                doublet.apply_u_minus_i(s))])]
-    results = _sampled_rows([("unitarity of every representation operator", 1e-12, boost_note)],
-                            seed, trials, n, unitarity, states=states, **operators(3))
+    def unitarity(s, g):
+        s_norm = s.norm()
+        return reduce(np.maximum, [np.abs(op_state.norm() - s_norm) for op_state in (
+            doublet.apply_translation(s, g.translation),
+            doublet.apply_axial_rotation(s, g.rotation),
+            doublet.apply_axial_boost(s, g.boost),
+            doublet.apply_u_lambda_inf(s),
+            doublet.apply_u_minus_i(s))])
 
-    def involutions(blocks):
-        for _, normals in blocks:
-            s = _doublets(grid, normals)
-            twice = [doublet.apply_u_lambda_inf(doublet.apply_u_lambda_inf(s, eps), eps)
-                     for eps in (1, -1)]
-            twice.append(doublet.apply_u_minus_i(doublet.apply_u_minus_i(s)))
-            yield [_trial_gap(reduce(np.maximum, [np.abs(t.amps - s.amps) for t in twice]))]
-    results += _sampled_rows([("sector swap and momentum reversal are involutions", 0.0, "")],
-                             seed, trials, n, involutions, states=states)
+    def involutions(s):
+        twice = [doublet.apply_u_lambda_inf(doublet.apply_u_lambda_inf(s, eps), eps)
+                 for eps in (1, -1)]
+        twice.append(doublet.apply_u_minus_i(doublet.apply_u_minus_i(s)))
+        return _trial_gap(reduce(np.maximum, [np.abs(t.amps - s.amps) for t in twice]))
 
-    # each quantity draws the pair (g1, g2) of a trial together
-    def homomorphism(blocks):
-        for _, normals, *pairs in blocks:
-            s = _doublets(grid, normals, 2 * max_steps)
-            g1, g2 = (element(*(q[:, i] for q in pairs)) for i in range(2))
-            left = doublet.apply_axial(doublet.apply_axial(s, g2), g1)
-            right = doublet.apply_axial(s, doublet.axial_product(grid, g1, g2))
-            yield [_trial_gap(left.amps, right.amps)]
-    results += _sampled_rows([("axial subgroup homomorphism", 1e-10, boost_note)],
-                             seed, trials, n, homomorphism, states=states,
-                             **operators(2, shape=(2,)))
+    # each pair quantity draws the pair (g1, g2) of a trial together
+    def homomorphism(s, *pair):
+        g1, g2 = (element(*(q[:, i] for q in pair)) for i in range(2))
+        left = doublet.apply_axial(doublet.apply_axial(s, g2), g1)
+        right = doublet.apply_axial(s, doublet.axial_product(grid, g1, g2))
+        return _trial_gap(left.amps, right.amps)
 
-    def covariance(blocks):
-        for _, normals, *g in blocks:
-            s, g = _doublets(grid, normals, max_steps), element(*g)
-            yield [np.maximum(doublet.check_covariance(s, g, "lambda-inf"),
-                              doublet.check_covariance(s, g, "minus-i"))]
-    results += _sampled_rows([("covariance under both discrete conjugations", 1e-10, boost_note)],
-                             seed, trials, n, covariance, states=states, **operators(2))
+    def covariance(s, g):
+        return np.maximum(doublet.check_covariance(s, g, "lambda-inf"),
+                          doublet.check_covariance(s, g, "minus-i"))
 
     # s is the eigenstate (c+, c+)/sqrt(2) plus the eigenstate (c-, -c-)/sqrt(2)
-    def decomposition(blocks):
-        for _, normals in blocks:
-            s = _doublets(grid, normals)
-            c_plus, c_minus = doublet.epsilon_components(s)
-            plus, minus = c_plus / doublet.SQRT2, c_minus / doublet.SQRT2
-            yield [_trial_gap(np.stack([plus + minus, plus - minus], axis=-2), s.amps)]
-    results += _sampled_rows([("per-point decomposition into swap eigenstates", 1e-12, "")],
-                             seed, trials, n, decomposition, states=states)
+    def decomposition(s):
+        c_plus, c_minus = doublet.epsilon_components(s)
+        plus, minus = c_plus / doublet.SQRT2, c_minus / doublet.SQRT2
+        return _trial_gap(np.stack([plus + minus, plus - minus], axis=-2), s.amps)
+
+    # Every row's state comes from the block's one draw, zero-padded by the
+    # boost steps its operators may shift; _doublets scales in place, so each
+    # row but the last scales a copy.  A row's temporaries go as it returns.
+    def evaluate(blocks):
+        for _, normals, *ops in blocks:
+            yield [unitarity(_doublets(grid, normals.copy(), max_steps), element(*ops[:3])),
+                   involutions(_doublets(grid, normals.copy())),
+                   homomorphism(_doublets(grid, normals.copy(), 2 * max_steps), *ops[3:6]),
+                   covariance(_doublets(grid, normals.copy(), max_steps), element(*ops[6:])),
+                   decomposition(_doublets(grid, normals))]
+    results = _sampled_rows(
+        [("unitarity of every representation operator", 1e-12, boost_note),
+         ("sector swap and momentum reversal are involutions", 0.0, ""),
+         ("axial subgroup homomorphism", 1e-10, boost_note),
+         ("covariance under both discrete conjugations", 1e-10, boost_note),
+         ("per-point decomposition into swap eigenstates", 1e-12, "")],
+        seed, trials, n, evaluate, states=_complex_draw(2, n), **operators(3),
+        **operators(2, (2,), "pair_"), **operators(2, prefix="cov_"))
 
     # U(lambda_inf) with eigenvalue eps' scales an eps-labelled eigenstate by eps * eps'
     name = "swap eigenstates carry their labels"

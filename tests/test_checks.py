@@ -68,6 +68,11 @@ def test_random_doublet_draws_the_bits_of_two_complex_normal_draws(interior):
     assert rng.standard_normal() == twin.standard_normal()
 
 
+# rep-check's five sampled rows share one draw of states; bell-check's
+# expectations and entropy rows each draw their own
+STATE_DRAWS = {"rep": 1, "bell": 2}
+
+
 @pytest.mark.parametrize("suite, run", [("rep", lambda: checks.rep_checks(16, 1, 5, 3)),
                                         ("bell", lambda: checks.bell_checks(8, 5, 3))])
 def test_each_row_and_quantity_has_one_stream_keyed_by_the_row_name(monkeypatch, suite, run):
@@ -82,6 +87,32 @@ def test_each_row_and_quantity_has_one_stream_keyed_by_the_row_name(monkeypatch,
     run()
     assert len(keys) == len(set(keys)) > 0
     assert {row for row, _ in keys} <= {zlib.crc32(name.encode()) for name in names}, suite
+    assert [q for _, q in keys].count(zlib.crc32(b"states")) == STATE_DRAWS[suite], suite
+
+
+def test_rep_rows_build_their_states_from_one_draw_per_block(monkeypatch):
+    # blocks of 2, 2 and 1 trials; each of the five sampled rows builds its
+    # state from the block's draw, so their inputs agree wherever no row pads
+    n, pad = 16, 6  # the homomorphism row pads 2 * max_steps = 6 points at each end
+    monkeypatch.setattr(checks, "TRIAL_BLOCK", 2 * n)
+    inputs, doublets = [], checks._doublets
+
+    def recording(grid, amps, interior=0):
+        inputs.append(amps.copy())
+        return doublets(grid, amps, interior)
+    monkeypatch.setattr(checks, "_doublets", recording)
+    assert all(r.passed for r in checks.rep_checks(n, 1, 5, 3))
+    assert [len(a) for a in inputs] == 5 * [2] + 5 * [2] + 5 * [1]
+    blocks = [inputs[i:i + 5] for i in range(0, len(inputs), 5)]
+    for block in blocks:
+        first = block[0][..., pad:n - pad]
+        assert all(np.array_equal(a[..., pad:n - pad].view(np.uint64), first.view(np.uint64))
+                   for a in block[1:])
+    # the draw is the states quantity of the first row's stream, in trial order
+    want = checks._complex_normal(
+        checks._stream(3, "unitarity of every representation operator", "states"), (5, 2, n))
+    got = np.concatenate([block[0] for block in blocks])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 # (suite, lattice points or matrix entries per trial) at the default sizes
@@ -108,7 +139,7 @@ def test_rep_and_bell_peaks_do_not_grow_with_trials(suite):
 
 
 def test_rep_checks_hold_about_27_grid_vectors():
-    # 26.6 complex N-vectors (1.75 MB) traced at N = 4096, for any number of trials
+    # 12.8 complex N-vectors (0.84 MB) traced at N = 4096, for any number of trials
     n = 4096
     assert _traced_peak(checks.rep_checks, n, 1, 3, 0) <= 28 * 16 * n
 

@@ -48,7 +48,7 @@ GOLDEN = {
     "group-check --convention coordinate --seed 0":
         "3c48dd12c8a8aa2bf380549b8f38b06afd1ef346159b95e80fd64d8363de7583",
     "rep-check --seed 0":
-        "3667e12ae88f5d19f7524083f99e5be8fbad581b7018febfa03fb6081fb5feb6",
+        "65e553de3d4cd1175d12b1ffedb3ac636256d418f1e8c4637a7eff95c86df52c",
     "bell-check --seed 0":
         "c0001824d2f9f5ecd637107667bfc8102e0775533ac911214c131b607d06fa9e",
     "group-check --seed 1":
@@ -56,7 +56,7 @@ GOLDEN = {
     "group-check --convention coordinate --seed 1":
         "6fbbf9b93e193a8aed4453249fb06884b93b5a9a979866f0d2396702ea1fa741",
     "rep-check --seed 1":
-        "0dd29733ab4264e7b6fb89ca47ffe016dd9a346ed2fcbf88db721eaa36c6bfca",
+        "334fe128e1cde7d6827e468180bd22c62946821845def5828508ffc75b566c08",
     "bell-check --seed 1":
         "467e88a776f7e2a50eca79e8450c14298011227d53fc1b81ec1ed9ad8c2279d0",
     "group-check --seed 2":
@@ -64,7 +64,7 @@ GOLDEN = {
     "group-check --convention coordinate --seed 2":
         "11ffecd7a88e6e3b42f59502c84c4a4247c93acada9ef3dbc80ab5577af26f4c",
     "rep-check --seed 2":
-        "dbe185f2631fedf8881f0c6977cce7f94ff3505f3ad0f8b1fb8a3b5421f6e1e4",
+        "b836d7ce107cdbe036c9cf1a7ba884510fb1896e9efd84e196e4e88f336ce961",
     "bell-check --seed 2":
         "1134e7d3ce6a7fc652a4b404bd1c829f1e8f50aa4e87242935aef2fdc0ca76b9",
     "group-check --seed 3":
@@ -72,7 +72,7 @@ GOLDEN = {
     "group-check --convention coordinate --seed 3":
         "c70bad4a890f98ec4309d01a86f855bc9b5176f0dafb3c4d03046c8575991c5b",
     "rep-check --seed 3":
-        "9d35baa9b5b863e10be82dc6fd442030b79eca159fbf1789f6a8ed5fce872ead",
+        "8484520ba3da66e88ecf0321f9dbcfeb3d17cf4fc09472e39d463688ee1be995",
     "bell-check --seed 3":
         "db6c0e331c7797afc619f65c0f477ba3065d74f0440dc2660b9c16fccbfd42e2",
     "group-check --seed 4":
@@ -80,7 +80,7 @@ GOLDEN = {
     "group-check --convention coordinate --seed 4":
         "484fd58e3f90627c4bd1f957cc7d17c1186573c998a2aa7de8298688da545da1",
     "rep-check --seed 4":
-        "59bf07d8fff18c58ac1d468211f1e479d5c3cb30f8794e080bf70c51ddd3d7f5",
+        "7b00855c0b262b42eb392f144cc19a368751bb7621f516a38c7d4e439c0e5986",
     "bell-check --seed 4":
         "b6f28a8b79b80baad7d2d9c1838266d5d71287a9a4527dea41eb090739ff3737",
     "group-check --seed 5":
@@ -88,13 +88,13 @@ GOLDEN = {
     "group-check --convention coordinate --seed 5":
         "018939a0b317de1820aa1a46bb03844a387ac4c1afc84f9a5d217ee1f2936a1a",
     "rep-check --seed 5":
-        "673fc285f7029a243cb6e896fcf8c237c432faeec116968d6602e3edf13322ce",
+        "78c91fbdaa63ce0fbbbb7cab91a93e8c1a5342cbe96a6328c1f42fdbbfdb3c81",
     "bell-check --seed 5":
         "36fb023eaa53d1ca1f32ae177e8447a82aacd62b097ee3d7c017f89a9f989bff",
     "group-check --format json --seed 1":
         "a69d6faf45de6e6b373c397b2a20befb1b76253cd703713f22c258d63cd0e16c",
     "rep-check --format json --seed 1":
-        "3af2bc72b1e23c8f48ab68bcb32d2cca7f275d90d70c42b88db36bbcf71282df",
+        "0f2081ef78c71ed264a9195500414b5389f159dd0848002cc8b90967c818d557",
     "bell-check --format json --seed 1":
         "9cbafc81265e239f9ed0a6308f750dda6e1e20b06f7545382b3b39eb2d5fbc5a",
     "group-check --samples 5000 --seed 2":
@@ -105,21 +105,21 @@ GOLDEN = {
     "group-check --samples 1 --seed 0":
         "2bae4d476f399df0987c330164e03ca555be4fb400cc4293570ee87490befc36",
     "rep-check --trials 257 --seed 2":
-        "155c11581d12254ac86aabb39b3e5845b133d82775df758c1236ee1756a67d39",
+        "7b3733d054283d4092bd02872bd60c5cd196e269fec390ae0df377afb9ab421e",
     "bell-check --trials 129 --seed 2":
         "995b9faa2fa0a646fa1a1d89d20e0c03e320665970589f7309dd37c0703f0c02",
     "rep-check --grid-size 4096 --trials 20 --seed 0":
-        "a7db5fadb28c315bcdb4ff2e0df82147afdb741545ee031a7c50f0200accc0d7",
+        "c3c5ebe941d9d3e7c91f0afc249736a4a7dfde03cf3e5da4379ccbd161825521",
     "rep-check --grid-size 4096 --trials 20 --seed 1":
-        "b9acba8e5cf831fe01d39039f3c8d8901e7914141a925772a2f12f51fa511cd3",
+        "b241c1d184eaee25db1eafc272ebe3138a48215f79f761bb64cb9decf210694a",
     "rep-check --grid-size 256 --trials 20 --seed 0":
-        "00cea541f2ee183ef4281994667aa67f2338651fc5d114cb51a507ca15d0678a",
+        "48309652e016af90c6f5e11221c29f23cf09054230d387a1a59b92cc02e4a416",
     "rep-check --grid-size 256 --trials 20 --seed 1":
-        "fd099e4c807ba42e336769860c8d0c0236c7ff1eb97287e3bef9817de3010834",
+        "2d0d2283d4511e5c8ed17a313c793231ef59899adcc9b3316491c966772e903c",
     "rep-check --grid-size 5 --helicity -2 --seed 0":
-        "7964a27fd90c355e5a2ac5e07d8dbe73d07c0ba7093ce26478b183cd395a60bf",
+        "5b24849c11852ed1c4c308e3962c552ec15c03e782258b7edd74a18c2d726272",
     "rep-check --grid-size 1 --trials 3 --seed 0":
-        "81a2e5011114231a26f2beca248678ba01545df525bbab8cca9b38032c10984f",
+        "86e851219f431778be50b68aa8503a59ffd017de6d98aca2e4b9390ab708157d",
     "bell-check --grid-size 1024 --trials 1 --seed 0":
         "747e72887919cf03cfb3d8d2e936471ad0c036fd46dd4a143a2a3879b7e66357",
     "bell-check --grid-size 128 --trials 20 --seed 0":
