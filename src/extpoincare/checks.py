@@ -323,15 +323,16 @@ def rep_checks(grid_size: int = 16, helicity: int = 1, trials: int = 100,
     involutions, homomorphism, covariance, decomposition) are evaluated
     together over blocks of max(1, TRIAL_BLOCK // N) trials, so under
     STREAM_RULE they draw under the unitarity row's name.  A block draws its
-    states once, and each row builds its own state from them, zero-padded by
-    the boost steps its operators may shift.  The other quantities are
-    translation, angle and steps (reach 3, the unitarity row), pair_* (reach
-    2, the homomorphism row's pair g1, g2) and cov_* (reach 2, covariance).
-    The rows run one at a time: a row holds the block's draws, its state and
-    its temporaries, about 13 complex vectors of the block's trials * N
-    lattice points (0.84 MB traced at N = 4096, one trial per block, and
-    under 1 MB at N = 16 to 3000), and nothing survives the row.  The
-    swap-eigenstate row draws psi from a stream of its own.
+    states once and builds three states from them, one per padding by the
+    boost steps the rows' operators may shift; rows that pad alike share
+    one.  The other quantities are translation, angle and steps (reach 3,
+    the unitarity row), pair_* (reach 2, the homomorphism row's pair g1, g2)
+    and cov_* (reach 2, covariance).  The rows run one at a time: a row
+    holds the block's draws, one state and its temporaries, about 13 complex
+    vectors of the block's trials * N lattice points (0.84 MB traced at
+    N = 4096, one trial per block, and under 1 MB at N = 16 to 3000), and
+    only the state outlives the row.  The swap-eigenstate row draws psi from
+    a stream of its own.
     """
     if grid_size < 1:
         raise ValueError(f"grid size must be positive, got {grid_size}")
@@ -390,15 +391,19 @@ def rep_checks(grid_size: int = 16, helicity: int = 1, trials: int = 100,
         return _trial_gap(np.stack([plus + minus, plus - minus], axis=-2), s.amps)
 
     # Every row's state comes from the block's one draw, zero-padded by the
-    # boost steps its operators may shift; _doublets scales in place, so each
-    # row but the last scales a copy.  A row's temporaries go as it returns.
+    # boost steps its operators may shift, and rows with equal padding share
+    # one: max_steps (unitarity, covariance), 2 * max_steps (homomorphism)
+    # and 0 (involutions, decomposition).  Each state replaces the last, so
+    # one is alive at a time; _doublets scales in place, so the padded ones
+    # scale copies.  A row's temporaries go as it returns.
     def evaluate(blocks):
         for _, normals, *ops in blocks:
-            yield [unitarity(_doublets(grid, normals.copy(), max_steps), element(*ops[:3])),
-                   involutions(_doublets(grid, normals.copy())),
-                   homomorphism(_doublets(grid, normals.copy(), 2 * max_steps), *ops[3:6]),
-                   covariance(_doublets(grid, normals.copy(), max_steps), element(*ops[6:])),
-                   decomposition(_doublets(grid, normals))]
+            s = _doublets(grid, normals.copy(), max_steps)
+            unitary, covariant = unitarity(s, element(*ops[:3])), covariance(s, element(*ops[6:]))
+            s = _doublets(grid, normals.copy(), 2 * max_steps)
+            homomorphic = homomorphism(s, *ops[3:6])
+            s = _doublets(grid, normals)
+            yield [unitary, involutions(s), homomorphic, covariant, decomposition(s)]
     results = _sampled_rows(
         [("unitarity of every representation operator", 1e-12, boost_note),
          ("sector swap and momentum reversal are involutions", 0.0, ""),
@@ -445,10 +450,11 @@ def _row_slices(n: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
-# A bell-check trial keeps one dense complex N x N matrix alive, A2, plus a
-# block of ROW_BLOCK rows of A1 and of A1 A2: A1 has a stream of its own,
-# from which the dictionary row draws it one row block at a time, and the
-# unit row's identity is built after A2 is freed.  Its dense draws make no
+# A bell-check trial makes two dense complex N x N draws, A1 and A2, and
+# keeps one matrix alive, A2, plus a block of ROW_BLOCK rows of A1 and of
+# A1 A2: A1 has a stream of its own, from which the dictionary row draws it
+# one row block at a time, the expectations row reads A2 before it is freed,
+# and the unit row's identity is built after that.  Its dense draws make no
 # temporary of a matrix's size; from N = 46 on a block is one trial.  Traced
 # peak (tracemalloc): 18.3 MiB at N = 1024 (1.14 matrices of 16 MiB) and
 # 68.5 MiB at N = 2048 (1.07 matrices of 64 MiB), 36.2 and 136.4 MiB when A1
@@ -460,12 +466,15 @@ BELL_MAX_GRID_SIZE = 2048
 def bell_checks(grid_size: int = 8, trials: int = 100, seed: int = 0) -> list[CheckResult]:
     """Dictionary invariants on omega_i = 1.25**i with N = grid_size points.
 
-    The two dense rows run over blocks of max(1, TRIAL_BLOCK // N^2) trials,
-    and draw each of their quantities for a block in one call, under
-    STREAM_RULE.  The dictionary row keeps one dense N x N matrix, A2, and
-    draws A1 from its stream in blocks of ROW_BLOCK rows (_row_slices; one
-    slice up to N = 64), each block used and freed before the next is drawn.
-    Traced peak: 18.3 MiB at N = 1024 and 68.5 MiB at N = 2048, the cap.
+    The three sampled rows (isometry, embedding, expectations) are evaluated
+    together over blocks of max(1, TRIAL_BLOCK // N^2) trials, so under
+    STREAM_RULE they draw under the isometry row's name, each quantity for a
+    block in one call.  The expectations row reads the dictionary row's s1,
+    A2 and B2, so a trial draws two dense N x N matrices, A1 and A2.  The
+    dictionary row keeps A2 whole and draws A1 from its stream in blocks of
+    ROW_BLOCK rows (_row_slices; one slice up to N = 64), each block used and
+    freed before the next is drawn.  Traced peak: 18.3 MiB at N = 1024 and
+    68.5 MiB at N = 2048, the cap.
     """
     if grid_size < 1:
         raise ValueError(f"grid size must be positive, got {grid_size}")
@@ -475,7 +484,7 @@ def bell_checks(grid_size: int = 8, trials: int = 100, seed: int = 0) -> list[Ch
         raise ValueError(f"trials must be positive, got {trials}")
     grid = doublet.FrequencyGrid(1.0, 1.25, grid_size)
     n = grid_size
-    states, dense, factor = _complex_draw(2, n), _complex_draw(n, n), _complex_draw(2, 2)
+    states, factor = _complex_draw(2, n), _complex_draw(2, 2)
 
     def rows_of(a, b, s):
         """Those rows of iota(A x B) s, from a block of A's rows: apply_block's arithmetic."""
@@ -506,26 +515,21 @@ def bell_checks(grid_size: int = 8, trials: int = 100, seed: int = 0) -> list[Ch
                 term = (a_h[..., None, :, :] @ s2.amps[..., rows, None])[..., 0]
                 a_h_psi = term if a_h_psi is None else a_h_psi + term
                 del a, a_h  # freed before the next block's rows are drawn
+            expectation = qubit.expectation_equality(s1, a2, b2)[2]
             del a2  # freed before the unit row builds its N x N identity
             adj = (b1_h[..., :, 0, None] * a_h_psi[..., None, 0, :]
                    + b1_h[..., :, 1, None] * a_h_psi[..., None, 1, :])
             unit = qubit.apply_block(qubit.iota(np.eye(n, dtype=complex), qubit.ID2), s1)
             yield [iso, reduce(np.maximum, [
                 _trial_gap(unit.amps, s1.amps), _trial_gap(left, right),
-                doublet._cabs(doublet._vdot(s2.amps, forward) - doublet._vdot(adj, s1.amps))])]
+                doublet._cabs(doublet._vdot(s2.amps, forward) - doublet._vdot(adj, s1.amps))]),
+                expectation]
     results = _sampled_rows([("sector isometry preserves inner products", 1e-12, ""),
-                             ("observable embedding is a unital *-homomorphism", 1e-10, "")],
+                             ("observable embedding is a unital *-homomorphism", 1e-10, ""),
+                             ("expectations agree on both sides of the dictionary", 1e-10, "")],
                             seed, trials, n * n, dictionary, s1=states, s2=states,
                             # A1's value is its generator: the row draws it by row blocks
-                            a1=lambda rng, count: rng, a2=dense, b1=factor, b2=factor)
-
-    def expectations(blocks):
-        for _, d, a, b in blocks:
-            gap = qubit.expectation_equality(_doublets(grid, d), a, b)[2]
-            del a  # freed before the next block draws its own
-            yield [gap]
-    results += _sampled_rows([("expectations agree on both sides of the dictionary", 1e-10, "")],
-                             seed, trials, n * n, expectations, states=states, a=dense, b=factor)
+                            a1=lambda rng, count: rng, a2=_complex_draw(n, n), b1=factor, b2=factor)
 
     dev = _dist([qubit.u_lambda_conjugation_check(1), qubit.u_lambda_conjugation_check(grid_size)])
     results.append(_result("conjugated sector swap equals I x sigma_x", dev, 1e-14))

@@ -7,7 +7,7 @@ import zlib
 import numpy as np
 import pytest
 
-from extpoincare import checks, doublet
+from extpoincare import checks, doublet, qubit
 
 
 def _traced_peak(fn, *args) -> int:
@@ -69,8 +69,8 @@ def test_random_doublet_draws_the_bits_of_two_complex_normal_draws(interior):
 
 
 # rep-check's five sampled rows share one draw of states; bell-check's
-# expectations and entropy rows each draw their own
-STATE_DRAWS = {"rep": 1, "bell": 2}
+# sampled rows draw s1 and s2, and only its entropy row draws states
+STATE_DRAWS = {"rep": 1, "bell": 1}
 
 
 @pytest.mark.parametrize("suite, run", [("rep", lambda: checks.rep_checks(16, 1, 5, 3)),
@@ -88,11 +88,31 @@ def test_each_row_and_quantity_has_one_stream_keyed_by_the_row_name(monkeypatch,
     assert len(keys) == len(set(keys)) > 0
     assert {row for row, _ in keys} <= {zlib.crc32(name.encode()) for name in names}, suite
     assert [q for _, q in keys].count(zlib.crc32(b"states")) == STATE_DRAWS[suite], suite
+    # bell-check's expectations row draws under the isometry row's name
+    expectations = zlib.crc32(b"expectations agree on both sides of the dictionary")
+    assert expectations not in {row for row, _ in keys}, suite
+
+
+def test_expectations_row_takes_the_dictionary_rows_a2(monkeypatch):
+    # one block of 5 trials at N = 8; the first call is the sampled row's,
+    # the swap-eigenstate row's come after it
+    seen, equality = [], qubit.expectation_equality
+
+    def recording(s, a, b):
+        seen.append(np.array(a))
+        return equality(s, a, b)
+    monkeypatch.setattr(qubit, "expectation_equality", recording)
+    checks.bell_checks(8, 5, 3)
+    want = checks._complex_normal(
+        checks._stream(3, "sector isometry preserves inner products", "a2"), (5, 8, 8))
+    assert seen[0].shape == want.shape
+    assert np.array_equal(seen[0].view(np.uint64), want.view(np.uint64))
 
 
 def test_rep_rows_build_their_states_from_one_draw_per_block(monkeypatch):
-    # blocks of 2, 2 and 1 trials; each of the five sampled rows builds its
-    # state from the block's draw, so their inputs agree wherever no row pads
+    # blocks of 2, 2 and 1 trials; the five sampled rows build one state per
+    # padding (max_steps, 2 * max_steps, 0) from the block's draw, so the
+    # three inputs agree wherever no row pads
     n, pad = 16, 6  # the homomorphism row pads 2 * max_steps = 6 points at each end
     monkeypatch.setattr(checks, "TRIAL_BLOCK", 2 * n)
     inputs, doublets = [], checks._doublets
@@ -102,8 +122,8 @@ def test_rep_rows_build_their_states_from_one_draw_per_block(monkeypatch):
         return doublets(grid, amps, interior)
     monkeypatch.setattr(checks, "_doublets", recording)
     assert all(r.passed for r in checks.rep_checks(n, 1, 5, 3))
-    assert [len(a) for a in inputs] == 5 * [2] + 5 * [2] + 5 * [1]
-    blocks = [inputs[i:i + 5] for i in range(0, len(inputs), 5)]
+    assert [len(a) for a in inputs] == 3 * [2] + 3 * [2] + 3 * [1]
+    blocks = [inputs[i:i + 3] for i in range(0, len(inputs), 3)]
     for block in blocks:
         first = block[0][..., pad:n - pad]
         assert all(np.array_equal(a[..., pad:n - pad].view(np.uint64), first.view(np.uint64))
@@ -139,9 +159,10 @@ def test_rep_and_bell_peaks_do_not_grow_with_trials(suite):
 
 
 def test_rep_checks_hold_about_27_grid_vectors():
-    # 12.8 complex N-vectors (0.84 MB) traced at N = 4096, for any number of trials
+    # 12.8 to 12.9 complex N-vectors (0.84 MB) traced at N = 4096, for any
+    # number of trials
     n = 4096
-    assert _traced_peak(checks.rep_checks, n, 1, 3, 0) <= 28 * 16 * n
+    assert _traced_peak(checks.rep_checks, n, 1, 3, 0) <= 16 * 16 * n
 
 
 # a1 @ a2 formed one row block at a time keeps the bits of the full product;

@@ -50,7 +50,7 @@ GOLDEN = {
     "rep-check --seed 0":
         "65e553de3d4cd1175d12b1ffedb3ac636256d418f1e8c4637a7eff95c86df52c",
     "bell-check --seed 0":
-        "c0001824d2f9f5ecd637107667bfc8102e0775533ac911214c131b607d06fa9e",
+        "6c7c9e75b710b847119dd5ea55c29199d085265e0bbf527e4f66bd2863c049aa",
     "group-check --seed 1":
         "87f4e3ba3f0feb0520c7a841c744ccca9af3cfe03fad525e44875d14d9816b4c",
     "group-check --convention coordinate --seed 1":
@@ -58,7 +58,7 @@ GOLDEN = {
     "rep-check --seed 1":
         "334fe128e1cde7d6827e468180bd22c62946821845def5828508ffc75b566c08",
     "bell-check --seed 1":
-        "467e88a776f7e2a50eca79e8450c14298011227d53fc1b81ec1ed9ad8c2279d0",
+        "b9eab30882626f95bf55a7b761c83860b46dd38a71d2f601536d8b801d4f1fac",
     "group-check --seed 2":
         "3f2935d0473566fd9e25cd89b8fb83b266d4b56a4293d14006db4f3cf79343b2",
     "group-check --convention coordinate --seed 2":
@@ -66,7 +66,7 @@ GOLDEN = {
     "rep-check --seed 2":
         "b836d7ce107cdbe036c9cf1a7ba884510fb1896e9efd84e196e4e88f336ce961",
     "bell-check --seed 2":
-        "1134e7d3ce6a7fc652a4b404bd1c829f1e8f50aa4e87242935aef2fdc0ca76b9",
+        "3e1a57d47dee332d5871ca9cfbaf18c62424d2cf32c4c9d3b831010462d6d619",
     "group-check --seed 3":
         "7d50774ec3300dada9b167e29b7e90a879a998bb23584b8f9f0589b5eb6bd603",
     "group-check --convention coordinate --seed 3":
@@ -74,7 +74,7 @@ GOLDEN = {
     "rep-check --seed 3":
         "8484520ba3da66e88ecf0321f9dbcfeb3d17cf4fc09472e39d463688ee1be995",
     "bell-check --seed 3":
-        "db6c0e331c7797afc619f65c0f477ba3065d74f0440dc2660b9c16fccbfd42e2",
+        "4ef3ab311e35a5e240819b2521c1c52c1555954047e8da58039acd1d528c7da8",
     "group-check --seed 4":
         "c5a496d093a1062c470642c68a52e4b41a910119ec9ac5154231a3365b1dcd44",
     "group-check --convention coordinate --seed 4":
@@ -82,7 +82,7 @@ GOLDEN = {
     "rep-check --seed 4":
         "7b00855c0b262b42eb392f144cc19a368751bb7621f516a38c7d4e439c0e5986",
     "bell-check --seed 4":
-        "b6f28a8b79b80baad7d2d9c1838266d5d71287a9a4527dea41eb090739ff3737",
+        "868cbf085a2ebaac53edd62c4253c91acc8a9d55cb17833dfb1290e1456ac984",
     "group-check --seed 5":
         "346b16afa041a7e93d935dbc4cefae558f9ff6c62ef047f097fdf73e38fe0202",
     "group-check --convention coordinate --seed 5":
@@ -90,13 +90,13 @@ GOLDEN = {
     "rep-check --seed 5":
         "78c91fbdaa63ce0fbbbb7cab91a93e8c1a5342cbe96a6328c1f42fdbbfdb3c81",
     "bell-check --seed 5":
-        "36fb023eaa53d1ca1f32ae177e8447a82aacd62b097ee3d7c017f89a9f989bff",
+        "04ff9bc8d62b245d702a0ff0b9d05de60d61fab3138e8b0beccfd603d8997820",
     "group-check --format json --seed 1":
         "a69d6faf45de6e6b373c397b2a20befb1b76253cd703713f22c258d63cd0e16c",
     "rep-check --format json --seed 1":
         "0f2081ef78c71ed264a9195500414b5389f159dd0848002cc8b90967c818d557",
     "bell-check --format json --seed 1":
-        "9cbafc81265e239f9ed0a6308f750dda6e1e20b06f7545382b3b39eb2d5fbc5a",
+        "5a046bedcb447834eefe87a659e594b96765e16db5ed61985faf650814531317",
     "group-check --samples 5000 --seed 2":
         "3c1b44f933e334b19ffc0248f8da015d0ee97fad00ce5bd843e0e5807fba37ab",
     # block edges: 4096 + 4096 + 1 samples, one sample, 256 + 1 and 64 + 64 + 1 trials
@@ -107,7 +107,7 @@ GOLDEN = {
     "rep-check --trials 257 --seed 2":
         "7b3733d054283d4092bd02872bd60c5cd196e269fec390ae0df377afb9ab421e",
     "bell-check --trials 129 --seed 2":
-        "995b9faa2fa0a646fa1a1d89d20e0c03e320665970589f7309dd37c0703f0c02",
+        "330e90d292c3d7aa18c97cabc472b1a2076e493ae615f60ada47535e9c0e616e",
     "rep-check --grid-size 4096 --trials 20 --seed 0":
         "c3c5ebe941d9d3e7c91f0afc249736a4a7dfde03cf3e5da4379ccbd161825521",
     "rep-check --grid-size 4096 --trials 20 --seed 1":
@@ -121,25 +121,25 @@ GOLDEN = {
     "rep-check --grid-size 1 --trials 3 --seed 0":
         "86e851219f431778be50b68aa8503a59ffd017de6d98aca2e4b9390ab708157d",
     "bell-check --grid-size 1024 --trials 1 --seed 0":
-        "747e72887919cf03cfb3d8d2e936471ad0c036fd46dd4a143a2a3879b7e66357",
+        "4651fe5999f20f9d2a52d62f92ddea6036d88315bf8d39cdfba846c7152550d6",
     "bell-check --grid-size 128 --trials 20 --seed 0":
-        "80a691266409ceb3d060fc6044bddde46a05e6a317be303493f69e1e44676fa6",
+        "c0bc2fe7c828b1b2ae5b2119a880e9ad679720ab61baabfd18cbefff892495ae",
     "bell-check --grid-size 1 --trials 5 --seed 0":
         "2b8722bb2fb44edaed3ed95aceadb371faed2c1d2c17cde3671ac5ead3153ff6",
     "bell-check --grid-size 5 --trials 2 --seed 0":
-        "3e1b066e74dd514f1078ca7d87117557b9d6e55695f283a19269c1c75ce8c66e",
+        "08144fd645141c232cfa821ce8710078710461ee2c9a0027f9afd6e207900a01",
     "bell-check --grid-size 46 --trials 2 --seed 0":
-        "abd9fdb5153f0ed87c4d4d99f34400b00e57af5b38ff89bd98561892533728b5",
+        "54b1219a7a49c6c64037cae676856827b8f9ca6a826cccef9dd709d8c4f8f5d9",
     "bell-check --grid-size 65 --trials 2 --seed 0":
-        "dcdc470369a3699883231002774e7a2e288c5e281f7ddc514b0d12eee82db743",
+        "61e66f9fcbafe95f1d5228620e6609f0d57c9a7f3f6caf76e553e51d0461cae0",
     "bell-check --grid-size 66 --trials 2 --seed 0":
-        "267bd0d12bccb859089787113461580b3787cdbb2347afb4a56e7667a2fe4cab",
+        "ba916e6e2bc073cb4894c62e1ad6811d73527ef9abc720fc1e0abc4692fea2cc",
     # N = 64, whose 64^2 = 4096 matrix entries are one TRIAL_BLOCK, and
     # N = 200, past it, over three trials
     "bell-check --grid-size 64":
-        "abbdf0013c0d6f34f5e1fc97a50f85c08359cb399e36fa6d632eb1552be07ceb",
+        "1892404be3fcb8249ddb9c70da273a6719778f681f9fedbb5deb0397e40ca7c9",
     "bell-check --grid-size 200 --trials 3 --seed 0":
-        "0dc826669e2abbe7b2b092cb9a37ca1ff25392b20f6533567758d58451ce793e",
+        "45b38559751c377107848dd7c3c834b87138d04e680d995d20b75802283959bf",
     "orbit 1 0 0 1":
         "55680dc0bbbcae4797e99c946f24f18e1fe23025dc432a5474b9f730a1c90a8e",
     "orbit 2 0.3 -0.4 1 --theta 0.3 --phi 1.1":
