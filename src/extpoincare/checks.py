@@ -8,6 +8,7 @@ proper orthochronous component is deliberately not asserted anywhere.
 
 from __future__ import annotations
 
+import itertools
 import math
 import zlib
 from dataclasses import dataclass
@@ -36,16 +37,6 @@ def _dist(a, b=0.0) -> float:
     return float(np.abs(np.subtract(a, b)).max())
 
 
-def _rng(seed: int, spawn_key=()) -> np.random.Generator:
-    """default_rng(SeedSequence(seed, spawn_key)); a negative seed is rejected naming the field.
-
-    With no key this is default_rng(seed), group_checks' one shared stream.
-    """
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=spawn_key))
-
-
 STREAM_RULE = ("check stream v1: quantity q of row r draws from numpy "
                "default_rng(SeedSequence(seed, spawn_key=(crc32(r), crc32(q)))), "
                "r the row name (rows evaluated together share their first row's "
@@ -55,8 +46,11 @@ STREAM_RULE = ("check stream v1: quantity q of row r draws from numpy "
 
 
 def _stream(seed: int, row: str, quantity: str) -> np.random.Generator:
-    """The generator of ``quantity`` in row ``row`` under STREAM_RULE."""
-    return _rng(seed, (zlib.crc32(row.encode()), zlib.crc32(quantity.encode())))
+    """The generator of ``quantity`` in row ``row`` under STREAM_RULE; rejects a negative seed."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return np.random.default_rng(np.random.SeedSequence(
+        seed, spawn_key=(zlib.crc32(row.encode()), zlib.crc32(quantity.encode()))))
 
 
 def _trial_gap(a, b=0.0) -> np.ndarray:
@@ -99,7 +93,7 @@ def _relative_gap(g: group.ExtPoincareElement, h: group.ExtPoincareElement) -> n
 # Every sampled row runs over blocks of trials (samples in group_checks) of
 # max(1, TRIAL_BLOCK // per_trial) trials, per_trial being a trial's lattice
 # points N (rep_checks), matrix entries N^2 (bell_checks) or 1 (group_checks,
-# about 12 MB a block at 2.9 kB per sample).  So a row's peak does not grow
+# about 11 MB a block at 2.7 kB per sample).  So a row's peak does not grow
 # with the trial count, and from N = 2049 (rep) and N = 46 (bell) on a block
 # is one trial.
 TRIAL_BLOCK = 4096
@@ -151,13 +145,16 @@ def group_checks(convention: str = "momentum", samples: int = 100,
                  seed: int = 0) -> list[CheckResult]:
     """Group invariants, each evaluated as stacked arrays over blocks of samples.
 
-    Each sampled row runs over blocks of max(1, TRIAL_BLOCK // 1) = 4096
-    samples.  A block draws every row's samples in turn, row by row, so up to
-    one block the draws are those of a single stacked pass.
+    The seven sampled rows are evaluated together over blocks of
+    max(1, TRIAL_BLOCK // 1) = 4096 samples, so under STREAM_RULE they draw
+    under the cone row's name, which differs between the conventions.  The
+    quantities are angles and omega (the cone row), products and shifts (g1,
+    g2, g3 of the associativity and inverse rows), conjugated and shift
+    (alpha_z), momentum and boost (orbit class), plane and coefficients
+    (pairing flip), and spatial and gap (the merged orbits).
     """
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
-    rng = _rng(seed)
     thetas, phis = np.meshgrid(np.linspace(0.0, np.pi, 10), np.linspace(0.0, 2 * np.pi, 10),
                                indexing="ij")
     m = group.make_lambda_inf(thetas, phis, convention)
@@ -176,66 +173,70 @@ def group_checks(convention: str = "momentum", samples: int = 100,
             (ORBIT_CLASS_ROW, 0.0, ""),
             ("pairing flips sign on the time-direction plane", 1e-12, ""),
             ("timelike orbit merges with both massive classes and tachyonic", 0.0, "")]
-    return [involution] + _sampled_rows(
-        rows, seed, samples, 1, lambda blocks: (_group_block(rng, convention, n) for n, in blocks))
 
+    def uniform(low, high, *shape):
+        return lambda rng, count: rng.uniform(low, high, (count, *shape))
 
-def _group_block(rng: np.random.Generator, convention: str, samples: int) -> list[np.ndarray]:
-    """Each sampled group_checks row's per-sample values on one block, drawn row by row."""
-    def angles():
-        return rng.uniform(0, np.pi, samples), rng.uniform(0, 2 * np.pi, samples)
-
-    def elements(max_rapidity=3.0):
-        return group.ExtPoincareElement(
-            group.random_proper_orthochronous(rng, max_rapidity, size=samples),
-            rng.uniform(-2, 2, (samples, 4)))
-
-    th, ph = angles()
-    p0 = group.lightlike_representative(rng.uniform(0.5, 2.0, samples), th, ph)
-    image = group.act(group.make_lambda_inf(th, ph, convention), p0)
-    cone = group._fold_columns(np.maximum,
-                               np.abs(image - (-p0 if convention == "momentum" else p0)))
-
-    # rapidity capped at 2: the round trip rounds at eps * cond(M)
-    g1, g2, g3 = elements(2.0), elements(2.0), elements(2.0)
-    left = group.poincare_mul(group.poincare_mul(g1, g2), g3)
-    right = group.poincare_mul(g1, group.poincare_mul(g2, g3))
-    gi = group.poincare_mul(g1, group.poincare_inverse(g1))
-    inverse = _element_gap(gi, group.poincare_identity())
+    def lorentz(max_rapidity, *shape):
+        return lambda rng, count: group.random_proper_orthochronous(
+            rng, max_rapidity, size=(count, *shape))
 
     zs = group.z_set(0.3, 1.1, convention)[:, None]
-    n = elements()
-    try:
-        involutive = _element_gap(group.alpha_z(zs, group.alpha_z(zs, n)), n).max(axis=0)
-    except ValueError:  # alpha_z rejects a z that is no involution: a FAIL, not an input error
-        involutive = np.full(samples, math.nan)
-
-    p = rng.uniform(-2, 2, (samples, 4))
-    lam = group.random_proper_orthochronous(rng, size=samples)
-    moved = group.act(lam, p)
-    clear = (np.abs(group.minkowski(p, p))
-             > ORBIT_CLEAR * np.maximum(np.sum(p * p, axis=-1), np.sum(moved * moved, axis=-1)))
-    orbit_moved = clear & (group.classify_orbit(moved) != group.classify_orbit(p))
-
-    th, ph = angles()
-    li = group.make_lambda_inf(th, ph, convention)
     e_t = np.array([1.0, 0, 0, 0])
-    e_n = np.concatenate([np.zeros((samples, 1)), group.direction_unit(th, ph)], axis=-1)
-    c = rng.uniform(-2, 2, (4, samples, 1))
-    u = c[0] * e_t + c[1] * e_n
-    v = c[2] * e_t + c[3] * e_n
-    flip = group.minkowski(group.act(li, u), group.act(li, v)) + group.minkowski(u, v)
 
-    spatial = rng.uniform(-2, 2, (samples, 3))
-    p0 = np.linalg.norm(spatial, axis=-1) + rng.uniform(0.1, 2.0, samples)
-    timelike = np.concatenate([p0[:, None], spatial], axis=-1)
-    classes = np.stack([cls for _, _, cls in group.z_orbit(timelike, 0.3, 1.1, convention)])
-    covered = np.all([np.any(classes == wanted, axis=0)
-                      for wanted in (group.OrbitClass.MASSIVE_FORWARD,
-                                     group.OrbitClass.MASSIVE_BACKWARD,
-                                     group.OrbitClass.TACHYONIC)], axis=0)
-    return [cone, _relative_gap(left, right), inverse, involutive, orbit_moved, np.abs(flip),
-            ~covered]
+    def values(count, angles, omega, products, shifts, conjugated, shift, p, boost, plane, c,
+               spatial, gap):
+        """Each sampled row's per-sample values on one block of draws."""
+        th, ph = angles.T
+        p0 = group.lightlike_representative(omega, th, ph)
+        image = group.act(group.make_lambda_inf(th, ph, convention), p0)
+        cone = group._fold_columns(np.maximum,
+                                   np.abs(image - (-p0 if convention == "momentum" else p0)))
+
+        g1, g2, g3 = (group.ExtPoincareElement(products[:, i], shifts[:, i]) for i in range(3))
+        associativity = _relative_gap(group.poincare_mul(group.poincare_mul(g1, g2), g3),
+                                      group.poincare_mul(g1, group.poincare_mul(g2, g3)))
+        inverse = _element_gap(group.poincare_mul(g1, group.poincare_inverse(g1)),
+                               group.poincare_identity())
+
+        n = group.ExtPoincareElement(conjugated, shift)
+        try:
+            involutive = _element_gap(group.alpha_z(zs, group.alpha_z(zs, n)), n).max(axis=0)
+        except ValueError:  # alpha_z rejects a z that is no involution: a FAIL, not an input error
+            involutive = np.full(count, math.nan)
+
+        moved = group.act(boost, p)
+        clear = (np.abs(group.minkowski(p, p))
+                 > ORBIT_CLEAR * np.maximum(np.sum(p * p, axis=-1), np.sum(moved * moved, axis=-1)))
+        orbit_moved = clear & (group.classify_orbit(moved) != group.classify_orbit(p))
+
+        th, ph = plane.T
+        li = group.make_lambda_inf(th, ph, convention)
+        e_n = np.concatenate([np.zeros((count, 1)), group.direction_unit(th, ph)], axis=-1)
+        u = c[:, 0, None] * e_t + c[:, 1, None] * e_n
+        v = c[:, 2, None] * e_t + c[:, 3, None] * e_n
+        flip = group.minkowski(group.act(li, u), group.act(li, v)) + group.minkowski(u, v)
+
+        timelike = np.concatenate([(np.linalg.norm(spatial, axis=-1) + gap)[:, None], spatial],
+                                  axis=-1)
+        classes = np.stack([cls for _, _, cls in group.z_orbit(timelike, 0.3, 1.1, convention)])
+        covered = np.all([np.any(classes == wanted, axis=0)
+                          for wanted in (group.OrbitClass.MASSIVE_FORWARD,
+                                         group.OrbitClass.MASSIVE_BACKWARD,
+                                         group.OrbitClass.TACHYONIC)], axis=0)
+        return [cone, associativity, inverse, involutive, orbit_moved, np.abs(flip), ~covered]
+    # angles and plane are (theta, phi) pairs; the products' rapidity is
+    # capped at 2: the round trip rounds at eps * cond(M).  starmap holds a
+    # block's draws only while its values are computed, so the next block is
+    # drawn beside nothing but the last block's values.
+    return [involution] + _sampled_rows(
+        rows, seed, samples, 1, lambda blocks: itertools.starmap(values, blocks),
+        angles=uniform(0.0, (np.pi, 2 * np.pi), 2), omega=uniform(0.5, 2.0),
+        products=lorentz(2.0, 3), shifts=uniform(-2, 2, 3, 4),
+        conjugated=lorentz(3.0), shift=uniform(-2, 2, 4),
+        momentum=uniform(-2, 2, 4), boost=lorentz(3.0),
+        plane=uniform(0.0, (np.pi, 2 * np.pi), 2), coefficients=uniform(-2, 2, 4),
+        spatial=uniform(-2, 2, 3), gap=uniform(0.1, 2.0))
 
 
 def ad_eta_table(convention: str = "momentum", seed: int = 0) -> list[dict]:
@@ -243,20 +244,20 @@ def ad_eta_table(convention: str = "momentum", seed: int = 0) -> list[dict]:
 
     Axial generators conjugate to genuine Lorentz matrices; rotations and
     boosts in planes containing the involution direction generally do not.
+    The twelve parameters are one draw under STREAM_RULE.
     """
-    rng = _rng(seed)
+    params = _stream(seed, "conjugated generator eta deviations", "parameter").uniform(
+        -1.5, 1.5, 12)
     li = group.make_lambda_inf(0.0, 0.0, convention)
     n_hat, x_hat = group.direction_unit(0.0, 0.0), [1.0, 0, 0]
     generators = (("axial-boost", group.boost_matrix, n_hat),
                   ("axial-rotation", group.rotation_matrix, n_hat),
                   ("x-rotation", group.rotation_matrix, x_hat),
                   ("x-boost", group.boost_matrix, x_hat))
-    rows = []
-    for kind, matrix, axis in 3 * generators:  # three draws of each, in turn
-        param = float(rng.uniform(-1.5, 1.5))
-        rows.append({"generator": kind, "parameter": param,
-                     "eta_deviation": group.eta_deviation(li @ matrix(axis, param) @ li)})
-    return rows
+    # three draws of each generator, in turn
+    return [{"generator": kind, "parameter": float(param),
+             "eta_deviation": group.eta_deviation(li @ matrix(axis, param) @ li)}
+            for (kind, matrix, axis), param in zip(3 * generators, params)]
 
 
 def _doublets(grid: doublet.FrequencyGrid, amps: np.ndarray,

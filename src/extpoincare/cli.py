@@ -92,6 +92,7 @@ def _cmd_group_check(args) -> int:
     return _check_report(args, results, {
         "convention": args.convention,
         "samples": args.samples,
+        "stream_rule": checks.STREAM_RULE,
         "conjugated_generator_eta_deviations": table,
     }, lines)
 

@@ -135,21 +135,20 @@ def random_proper_orthochronous(rng: np.random.Generator,
     A finite product of axis boosts and rotations, so eta-orthogonality,
     det = 1 and M[0,0] >= 1 hold by construction up to rounding.  ``size``
     follows numpy's convention: None gives one (4, 4) matrix, otherwise the
-    result has shape size + (4, 4).  Each factor draws every axis, redraws
-    those shorter than 1e-3, then draws every parameter.
+    result has shape size + (4, 4).  The whole stack is one
+    rng.random(size + (factors, 3)) call: factor i of an element turns its
+    (u, v, w) into an axis n(arccos(1 - 2u), 2 pi v), uniform on the sphere,
+    and a parameter lo + (hi - lo) w, a rapidity in [-max_rapidity,
+    max_rapidity) for even i (boosts) and an angle in [-pi, pi) for odd i
+    (rotations).  So stacks drawn in turn equal one draw of them all.
     """
     lead = () if size is None else tuple(np.atleast_1d(size))
+    u, v, w = np.moveaxis(rng.random(lead + (factors, 3)), -1, 0)
+    axes = direction_unit(np.arccos(1.0 - 2.0 * u), 2.0 * np.pi * v)
     m = np.eye(4)
     for i in range(factors):
-        axes = rng.standard_normal(lead + (3,))
-        short = np.sqrt(_dot(axes, axes)) < 1e-3
-        while short.any():
-            axes[short] = rng.standard_normal((int(short.sum()), 3))
-            short = np.sqrt(_dot(axes, axes)) < 1e-3
-        if i % 2 == 0:
-            m = m @ boost_matrix(axes, rng.uniform(-max_rapidity, max_rapidity, size))
-        else:
-            m = m @ rotation_matrix(axes, rng.uniform(-np.pi, np.pi, size))
+        matrix, reach = (boost_matrix, max_rapidity) if i % 2 == 0 else (rotation_matrix, np.pi)
+        m = m @ matrix(axes[..., i, :], -reach + 2.0 * reach * w[..., i])
     return m
 
 

@@ -72,11 +72,26 @@ def test_random_doublet_draws_the_bits_of_two_complex_normal_draws(interior):
 # sampled rows draw s1 and s2, and only its entropy row draws states
 STATE_DRAWS = {"rep": 1, "bell": 1}
 
+# the rows whose names key each suite's streams: rows evaluated together draw
+# under their first row's name, so bell-check's expectations row and every
+# sampled group-check row but the cone row key none
+STREAM_ROWS = {
+    "rep": ["unitarity of every representation operator", "swap eigenstates carry their labels"],
+    "bell": ["sector isometry preserves inner products", "swap eigenstates give correlation +-1",
+             "entanglement entropy hits 0 and ln 2 at the extremes"],
+    "group-momentum": ["aligned representative maps to its negative"],
+    "group-coordinate": ["aligned representative is fixed"],
+    "eta-table": ["conjugated generator eta deviations"],
+}
 
-@pytest.mark.parametrize("suite, run", [("rep", lambda: checks.rep_checks(16, 1, 5, 3)),
-                                        ("bell", lambda: checks.bell_checks(8, 5, 3))])
+
+@pytest.mark.parametrize("suite, run", [
+    ("rep", lambda: checks.rep_checks(16, 1, 5, 3)),
+    ("bell", lambda: checks.bell_checks(8, 5, 3)),
+    ("group-momentum", lambda: checks.group_checks("momentum", 5, 3)),
+    ("group-coordinate", lambda: checks.group_checks("coordinate", 5, 3)),
+    ("eta-table", lambda: checks.ad_eta_table("momentum", 3))])
 def test_each_row_and_quantity_has_one_stream_keyed_by_the_row_name(monkeypatch, suite, run):
-    names = [r.name for r in run()]
     keys, stream = [], checks._stream
 
     def recording(*args):
@@ -86,11 +101,9 @@ def test_each_row_and_quantity_has_one_stream_keyed_by_the_row_name(monkeypatch,
     monkeypatch.setattr(checks, "_stream", recording)
     run()
     assert len(keys) == len(set(keys)) > 0
-    assert {row for row, _ in keys} <= {zlib.crc32(name.encode()) for name in names}, suite
-    assert [q for _, q in keys].count(zlib.crc32(b"states")) == STATE_DRAWS[suite], suite
-    # bell-check's expectations row draws under the isometry row's name
-    expectations = zlib.crc32(b"expectations agree on both sides of the dictionary")
-    assert expectations not in {row for row, _ in keys}, suite
+    assert {row for row, _ in keys} == {zlib.crc32(name.encode()) for name in STREAM_ROWS[suite]}
+    states = [q for _, q in keys].count(zlib.crc32(b"states"))
+    assert states == STATE_DRAWS.get(suite, 0), suite
 
 
 def test_expectations_row_takes_the_dictionary_rows_a2(monkeypatch):
@@ -135,9 +148,11 @@ def test_rep_rows_build_their_states_from_one_draw_per_block(monkeypatch):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-# (suite, lattice points or matrix entries per trial) at the default sizes
+# (suite, lattice points, matrix entries or group samples per trial) at the
+# default sizes
 BLOCKED_SUITES = {"rep": (lambda trials: checks.rep_checks(16, 1, trials, 4), 16),
-                  "bell": (lambda trials: checks.bell_checks(8, trials, 4), 64)}
+                  "bell": (lambda trials: checks.bell_checks(8, trials, 4), 64),
+                  "group": (lambda samples: checks.group_checks("momentum", samples, 4), 1)}
 
 
 @pytest.mark.parametrize("suite", BLOCKED_SUITES)
@@ -151,7 +166,7 @@ def test_rep_and_bell_rows_do_not_depend_on_the_block_size(monkeypatch, suite, b
 
 # a row holds one block and the previous block's draws and states, so the
 # peak is flat from two blocks on
-@pytest.mark.parametrize("suite", BLOCKED_SUITES)
+@pytest.mark.parametrize("suite", ["rep", "bell"])
 def test_rep_and_bell_peaks_do_not_grow_with_trials(suite):
     run, per_trial = BLOCKED_SUITES[suite]
     block = checks.TRIAL_BLOCK // per_trial
@@ -234,6 +249,36 @@ def _synthetic_rows(monkeypatch, values_per_block, per_block=2):
     return results
 
 
+def test_an_extra_quantity_leaves_every_other_quantitys_draws_in_place(monkeypatch):
+    # blocks of 3, 3 and 2 trials; a quantity declared before, between or
+    # after the others draws from its own stream and moves none of theirs
+    monkeypatch.setattr(checks, "TRIAL_BLOCK", 3)
+
+    def draws(**quantities):
+        seen = []
+
+        def evaluate(blocks):
+            for count, *values in blocks:
+                seen.append(values)
+                yield [np.zeros(count)]
+        checks._sampled_rows([("row", 0.0, "")], 7, 8, 1, evaluate, **quantities)
+        return {name: np.concatenate([v[i] for v in seen]) for i, name in enumerate(quantities)}
+
+    def x(rng, count):
+        return rng.uniform(size=count)
+
+    def y(rng, count):
+        return rng.standard_normal((count, 2))
+
+    def extra(rng, count):
+        return rng.integers(0, 9, count)
+    want = draws(x=x, y=y)
+    for got in (draws(extra=extra, x=x, y=y), draws(x=x, extra=extra, y=y),
+                draws(x=x, y=y, extra=extra)):
+        for name, values in want.items():
+            assert np.array_equal(got[name].view(np.uint64), values.view(np.uint64)), name
+
+
 def test_sampled_rows_add_counts_and_keep_the_worst_deviation(monkeypatch):
     dev, count = _synthetic_rows(monkeypatch, [(1e-15, 1), (3e-13, 0), (2e-16, 1)])
     assert dev == checks.CheckResult("deviation", True, 3e-13, 1e-12, "a note")
@@ -256,8 +301,10 @@ def test_a_count_row_without_failures_passes_at_zero(monkeypatch):
 
 
 # each failed the associativity row under an absolute measure: a correct
-# product with entries up to 1e4 missed 1e-12 by about one ulp of its largest entry
-@pytest.mark.parametrize("seed", [463, 1352, 1406201168, 1497811366])
+# product with entries up to 1e4 missed 1e-12 by about one ulp of its largest
+# entry.  3824 and 5057 reach a gap of 1.8e-12 under check stream v1; the
+# first four did under the shared generator before it, and now pass as plain seeds
+@pytest.mark.parametrize("seed", [463, 1352, 1406201168, 1497811366, 3824, 5057])
 def test_product_associativity_is_measured_relative_to_the_product(seed):
     row = {r.name: r for r in checks.group_checks(seed=seed)}["product associativity"]
     assert row.passed, row
@@ -265,10 +312,13 @@ def test_product_associativity_is_measured_relative_to_the_product(seed):
 
 
 # each failed the orbit-class row on a correct program: one sample lay inside
-# classify_orbit's Euclidean-relative band in the boosted frame only
-# (1121639274 is the group seed of a default benchmark pass)
+# classify_orbit's Euclidean-relative band in the boosted frame only.  Under
+# check stream v1 that happens at 1844 and 19571 (momentum) and 30074 and
+# 42369 (coordinate); the first four did under the shared generator before
+# it, in both conventions (1121639274 was the group seed of a default
+# benchmark pass), and now pass as plain seeds
 @pytest.mark.parametrize("convention", ["momentum", "coordinate"])
-@pytest.mark.parametrize("seed", [5238, 10716, 15445, 1121639274])
+@pytest.mark.parametrize("seed", [5238, 10716, 15445, 1121639274, 1844, 19571, 30074, 42369])
 def test_orbit_class_row_skips_samples_inside_the_band_in_either_frame(seed, convention):
     row = {r.name: r for r in checks.group_checks(convention, seed=seed)}[checks.ORBIT_CLASS_ROW]
     assert row.passed and row.max_deviation == 0.0, row

@@ -265,10 +265,9 @@ def test_check_commands_accept_a_seed_past_64_bits(capsys, command):
     assert run_cli([*command, "--seed", str(2 ** 100)]) == 0
 
 
-# group-check still draws from one shared default_rng(seed), so it states no rule
 @pytest.mark.parametrize("command, rule", [("rep-check", checks.STREAM_RULE),
                                            ("bell-check", checks.STREAM_RULE),
-                                           ("group-check", None)])
+                                           ("group-check", checks.STREAM_RULE)])
 def test_check_reports_state_their_stream_rule(capsys, command, rule):
     assert run_cli([command, "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out).get("stream_rule") == rule

@@ -44,66 +44,66 @@ def report_digest(argv: list[str], out: str) -> str:
 
 GOLDEN = {
     "group-check --seed 0":
-        "d5f09c9de71ae137c4745291225b3daf40cb80ab6120af4903c88cbc57c5dc6d",
+        "91c3872b98f6f6cc5fb92b18838f8f5a3a47009d50e2fb18e88301c0607c3c6c",
     "group-check --convention coordinate --seed 0":
-        "3c48dd12c8a8aa2bf380549b8f38b06afd1ef346159b95e80fd64d8363de7583",
+        "334f7d49095be357f533ebb15a37e9bc897c777ed9b4539719c2e39dbb7e745e",
     "rep-check --seed 0":
         "65e553de3d4cd1175d12b1ffedb3ac636256d418f1e8c4637a7eff95c86df52c",
     "bell-check --seed 0":
         "6c7c9e75b710b847119dd5ea55c29199d085265e0bbf527e4f66bd2863c049aa",
     "group-check --seed 1":
-        "87f4e3ba3f0feb0520c7a841c744ccca9af3cfe03fad525e44875d14d9816b4c",
+        "ff069b5ce2e68bab00e89d89e29a184b2cc89adea6ceaf73d3554b179d6f7729",
     "group-check --convention coordinate --seed 1":
-        "6fbbf9b93e193a8aed4453249fb06884b93b5a9a979866f0d2396702ea1fa741",
+        "6a0d386db1c634fcce2411f1240b093b1aac9eb72fb93cf8fa0af044b583b7db",
     "rep-check --seed 1":
         "334fe128e1cde7d6827e468180bd22c62946821845def5828508ffc75b566c08",
     "bell-check --seed 1":
         "b9eab30882626f95bf55a7b761c83860b46dd38a71d2f601536d8b801d4f1fac",
     "group-check --seed 2":
-        "3f2935d0473566fd9e25cd89b8fb83b266d4b56a4293d14006db4f3cf79343b2",
+        "757f2e4c6ec5c06243e380b4e3e05e869803de3df6eee631a6fa217444e3fe42",
     "group-check --convention coordinate --seed 2":
-        "11ffecd7a88e6e3b42f59502c84c4a4247c93acada9ef3dbc80ab5577af26f4c",
+        "43c57ed230418164e099b70b043d59ba303e802bb4d5601fa4075835a817faff",
     "rep-check --seed 2":
         "b836d7ce107cdbe036c9cf1a7ba884510fb1896e9efd84e196e4e88f336ce961",
     "bell-check --seed 2":
         "3e1a57d47dee332d5871ca9cfbaf18c62424d2cf32c4c9d3b831010462d6d619",
     "group-check --seed 3":
-        "7d50774ec3300dada9b167e29b7e90a879a998bb23584b8f9f0589b5eb6bd603",
+        "fb7d44ef5285c68923d7126643c079eee09896156c726677d5c0b3d5432ee6ed",
     "group-check --convention coordinate --seed 3":
-        "c70bad4a890f98ec4309d01a86f855bc9b5176f0dafb3c4d03046c8575991c5b",
+        "b44d218be7ca3548f702e5ffd9c197bb127ef725c3ee9a64322c5b6346238fe5",
     "rep-check --seed 3":
         "8484520ba3da66e88ecf0321f9dbcfeb3d17cf4fc09472e39d463688ee1be995",
     "bell-check --seed 3":
         "4ef3ab311e35a5e240819b2521c1c52c1555954047e8da58039acd1d528c7da8",
     "group-check --seed 4":
-        "c5a496d093a1062c470642c68a52e4b41a910119ec9ac5154231a3365b1dcd44",
+        "dabee28e9b1f68250a1ca54c3179d733a49a38d7803909482be06f00f511e137",
     "group-check --convention coordinate --seed 4":
-        "484fd58e3f90627c4bd1f957cc7d17c1186573c998a2aa7de8298688da545da1",
+        "5803670a7cffa668dcfa9d101e0a117cd3bbd7ada48c614be4b228696e6399bc",
     "rep-check --seed 4":
         "7b00855c0b262b42eb392f144cc19a368751bb7621f516a38c7d4e439c0e5986",
     "bell-check --seed 4":
         "868cbf085a2ebaac53edd62c4253c91acc8a9d55cb17833dfb1290e1456ac984",
     "group-check --seed 5":
-        "346b16afa041a7e93d935dbc4cefae558f9ff6c62ef047f097fdf73e38fe0202",
+        "86256cf6198b3b12904ba52762b6d8ec9e6bd43fd32c7d8777c02115fbde1957",
     "group-check --convention coordinate --seed 5":
-        "018939a0b317de1820aa1a46bb03844a387ac4c1afc84f9a5d217ee1f2936a1a",
+        "b996709737ff2d6ab481b9c9309f49500f63bf8d87e8c56349178b5ab9d93b1b",
     "rep-check --seed 5":
         "78c91fbdaa63ce0fbbbb7cab91a93e8c1a5342cbe96a6328c1f42fdbbfdb3c81",
     "bell-check --seed 5":
         "04ff9bc8d62b245d702a0ff0b9d05de60d61fab3138e8b0beccfd603d8997820",
     "group-check --format json --seed 1":
-        "a69d6faf45de6e6b373c397b2a20befb1b76253cd703713f22c258d63cd0e16c",
+        "95684bfc961825f110d9eef659f93d8fcbc725a58b2e4a4072dd6ab8716a97e1",
     "rep-check --format json --seed 1":
         "0f2081ef78c71ed264a9195500414b5389f159dd0848002cc8b90967c818d557",
     "bell-check --format json --seed 1":
         "5a046bedcb447834eefe87a659e594b96765e16db5ed61985faf650814531317",
     "group-check --samples 5000 --seed 2":
-        "3c1b44f933e334b19ffc0248f8da015d0ee97fad00ce5bd843e0e5807fba37ab",
+        "bb2c216e7de84df4b8acb05a5761fccdbb40c881710ef53f43f6230f3e6b9524",
     # block edges: 4096 + 4096 + 1 samples, one sample, 256 + 1 and 64 + 64 + 1 trials
     "group-check --convention coordinate --samples 8193 --seed 3":
-        "a286dbe623e62d98589507fc1df9cc0ee6a508e2b5706b535b6d73c8162738f5",
+        "b84366b4a7f42b8e44609c9aa39299daac82267887990112809e93506e1e32d8",
     "group-check --samples 1 --seed 0":
-        "2bae4d476f399df0987c330164e03ca555be4fb400cc4293570ee87490befc36",
+        "030ecfba4beb14ce9879149e6d188ff2604c4482221567e4e054a4b81328126c",
     "rep-check --trials 257 --seed 2":
         "7b3733d054283d4092bd02872bd60c5cd196e269fec390ae0df377afb9ab421e",
     "bell-check --trials 129 --seed 2":

@@ -322,44 +322,35 @@ def test_stacked_random_elements_are_proper_orthochronous():
 
 
 def test_single_random_element_keeps_its_draws():
-    # values from the one-element-at-a-time construction: the same draws
-    # in the same order give the same matrix and leave the stream in place
+    # one rng.random((5, 3)) call, a (u, v, w) per factor, builds the element
+    # and leaves the stream after its 15 doubles
     rng = np.random.default_rng(2025)
     m = group.random_proper_orthochronous(rng, 2.5, 5)
     assert m.tolist() == [
-        [10.724877410252704, -4.584035350877895, -8.744901917064219, 4.0664856851803926],
-        [-9.447244471120461, 4.473202598282305, 7.659857835657401, -3.401097550696609],
-        [4.144421753621975, -0.9985167724838322, -3.8733294660164694, 1.4753015876938829],
-        [-2.7561450788986988, 1.003395668660739, 1.9486421745102143, -1.9473896640812518]]
-    assert rng.random() == 0.20743238090945026
+        [28.16492790295887, 15.533821841809601, 18.397958874849497, 14.576647488539228],
+        [-5.296000660927618, -2.1353483991068285, -4.0362072788551835, -2.863030041248975],
+        [10.201618684693866, 5.48228756949216, 6.183119795860979, 6.065193845485802],
+        [-25.693238740774405, -14.41126057057136, -16.880845688317926, -12.980567576370618]]
+    assert rng.random() == 0.4238958493035061
 
 
-class _ShortFirstAxis:
-    """Generator stand-in whose first axis draw has a zero-length first row."""
-
-    def __init__(self):
-        self.rng = np.random.default_rng(3)
-        self.normal_shapes = []
-
-    def standard_normal(self, shape):
-        out = self.rng.standard_normal(shape)
-        if not self.normal_shapes:
-            out.reshape(-1, 3)[0] = 0.0
-        self.normal_shapes.append(shape)
-        return out
-
-    def uniform(self, low, high, size=None):
-        return self.rng.uniform(low, high, size)
-
-
-@pytest.mark.parametrize("size, redraw", [(None, (1, 3)), (6, (1, 3))])
-def test_short_axes_are_redrawn_row_by_row(size, redraw):
-    rng = _ShortFirstAxis()
-    m = group.random_proper_orthochronous(rng, factors=2, size=size)
-    assert rng.normal_shapes[1] == redraw
-    assert len(rng.normal_shapes) == 3
-    for one in m.reshape(-1, 4, 4):
-        assert group.eta_deviation(one) < 1e-10
+# stacks drawn in turn from one generator equal one draw of them all, so a
+# check row's elements do not depend on its block size
+@pytest.mark.parametrize("blocks", [[1] * 9, [7, 7, 3], [9]])
+def test_random_elements_drawn_in_blocks_equal_one_draw(monkeypatch, blocks):
+    rng, twin = np.random.default_rng(9), np.random.default_rng(9)
+    got = np.concatenate([group.random_proper_orthochronous(rng, 2.0, 3, size=k)
+                          for k in blocks])
+    axes = []  # every factor's axes, recorded as the factor matrices are built
+    for name in ("boost_matrix", "rotation_matrix"):
+        monkeypatch.setattr(group, name, lambda axis, param, matrix=getattr(group, name):
+                            axes.append(axis) or matrix(axis, param))
+    want = group.random_proper_orthochronous(twin, 2.0, 3, size=sum(blocks))
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert rng.random() == twin.random()
+    assert len(axes) == 3
+    for axis in axes:
+        assert np.allclose(np.linalg.norm(axis, axis=-1), 1.0, rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("linear, translation, field", [
