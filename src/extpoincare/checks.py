@@ -184,8 +184,8 @@ def group_checks(convention: str = "momentum", samples: int = 100,
     zs = group.z_set(0.3, 1.1, convention)[:, None]
     e_t = np.array([1.0, 0, 0, 0])
 
-    def values(count, angles, omega, products, shifts, conjugated, shift, p, boost, plane, c,
-               spatial, gap):
+    def values(count, angles, omega, products, shifts, conjugated, shift, momentum, boost, plane,
+               coefficients, spatial, gap):
         """Each sampled row's per-sample values on one block of draws."""
         th, ph = angles.T
         p0 = group.lightlike_representative(omega, th, ph)
@@ -205,7 +205,7 @@ def group_checks(convention: str = "momentum", samples: int = 100,
         except ValueError:  # alpha_z rejects a z that is no involution: a FAIL, not an input error
             involutive = np.full(count, math.nan)
 
-        moved = group.act(boost, p)
+        p, moved = momentum, group.act(boost, momentum)
         clear = (np.abs(group.minkowski(p, p))
                  > ORBIT_CLEAR * np.maximum(np.sum(p * p, axis=-1), np.sum(moved * moved, axis=-1)))
         orbit_moved = clear & (group.classify_orbit(moved) != group.classify_orbit(p))
@@ -213,8 +213,8 @@ def group_checks(convention: str = "momentum", samples: int = 100,
         th, ph = plane.T
         li = group.make_lambda_inf(th, ph, convention)
         e_n = np.concatenate([np.zeros((count, 1)), group.direction_unit(th, ph)], axis=-1)
-        u = c[:, 0, None] * e_t + c[:, 1, None] * e_n
-        v = c[:, 2, None] * e_t + c[:, 3, None] * e_n
+        c0, c1, c2, c3 = coefficients.T[..., None]
+        u, v = c0 * e_t + c1 * e_n, c2 * e_t + c3 * e_n
         flip = group.minkowski(group.act(li, u), group.act(li, v)) + group.minkowski(u, v)
 
         timelike = np.concatenate([(np.linalg.norm(spatial, axis=-1) + gap)[:, None], spatial],

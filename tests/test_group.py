@@ -343,8 +343,10 @@ def test_random_elements_drawn_in_blocks_equal_one_draw(monkeypatch, blocks):
                           for k in blocks])
     axes = []  # every factor's axes, recorded as the factor matrices are built
     for name in ("boost_matrix", "rotation_matrix"):
-        monkeypatch.setattr(group, name, lambda axis, param, matrix=getattr(group, name):
-                            axes.append(axis) or matrix(axis, param))
+        def recording(axis, param, matrix=getattr(group, name)):
+            axes.append(axis)
+            return matrix(axis, param)
+        monkeypatch.setattr(group, name, recording)
     want = group.random_proper_orthochronous(twin, 2.0, 3, size=sum(blocks))
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert rng.random() == twin.random()
