@@ -454,13 +454,13 @@ def _row_slices(n: int) -> list[slice]:
 # A bell-check trial makes two dense complex N x N draws, A1 and A2, and
 # keeps one matrix alive, A2, plus a block of ROW_BLOCK rows of A1 and of
 # A1 A2: A1 has a stream of its own, from which the dictionary row draws it
-# one row block at a time, the expectations row reads A2 before it is freed,
-# and the unit row's identity is built after that.  Its dense draws make no
-# temporary of a matrix's size; from N = 46 on a block is one trial.  Traced
-# peak (tracemalloc): 18.3 MiB at N = 1024 (1.14 matrices of 16 MiB) and
-# 68.5 MiB at N = 2048 (1.07 matrices of 64 MiB), 36.2 and 136.4 MiB when A1
-# was kept whole.  At N = 8 a block holds 64 trials and the suite peaks at
-# 0.41 MB.
+# one row block at a time, the expectations row and the embedding's adjoint
+# read A2 before it is freed, and the unit row's identity is built after
+# that.  Its dense draws make no temporary of a matrix's size, and the
+# adjoint reads A2^T as a view; from N = 46 on a block is one trial.  Traced
+# peak (tracemalloc): 18.2 MiB at N = 1024 (1.14 matrices of 16 MiB) and
+# 68.3 MiB at N = 2048 (1.07 matrices of 64 MiB).  At N = 8 a block holds 64
+# trials and the suite peaks at 0.39 MB.
 BELL_MAX_GRID_SIZE = 2048
 
 
@@ -474,8 +474,11 @@ def bell_checks(grid_size: int = 8, trials: int = 100, seed: int = 0) -> list[Ch
     A2 and B2, so a trial draws two dense N x N matrices, A1 and A2.  The
     dictionary row keeps A2 whole and draws A1 from its stream in blocks of
     ROW_BLOCK rows (_row_slices; one slice up to N = 64), each block used and
-    freed before the next is drawn.  Traced peak: 18.3 MiB at N = 1024 and
-    68.5 MiB at N = 2048, the cap.
+    freed before the next is drawn: A1 enters only the product part.  The
+    unit part acts by the identity, and the *-part compares
+    <s2, iota(A2 x B2) s1> with <iota(A2^H x B2^H) s2, s1>, both through
+    qubit.apply_block.  Traced peak: 18.2 MiB at N = 1024 and 68.3 MiB at
+    N = 2048, the cap.
     """
     if grid_size < 1:
         raise ValueError(f"grid size must be positive, got {grid_size}")
@@ -488,7 +491,7 @@ def bell_checks(grid_size: int = 8, trials: int = 100, seed: int = 0) -> list[Ch
     states, factor = _complex_draw(2, n), _complex_draw(2, 2)
 
     def rows_of(a, b, s):
-        """Those rows of iota(A x B) s, from a block of A's rows: apply_block's arithmetic."""
+        """Those rows of iota(A x B) s, from a block of A's rows, for the product part."""
         return qubit.apply_block(qubit.BlockOperator(a, b), s).amps
 
     # a block of more than one trial has N <= 45, so one slice: A1's rows are
@@ -499,31 +502,23 @@ def bell_checks(grid_size: int = 8, trials: int = 100, seed: int = 0) -> list[Ch
             iso = doublet._cabs(doublet._vdot(qubit.sector_isometry(s1), qubit.sector_isometry(s2))
                                 - doublet._vdot(s1.amps, s2.amps))
             inner = qubit.apply_block(qubit.iota(a2, b2), s1)
-            b12, b1_h = b1 @ b2, np.swapaxes(b1.conj(), -1, -2)
-            forward, left, right = (np.empty_like(s1.amps) for _ in range(3))
-            # adjoint: <s2, iota(A x B) s1> = <iota(A^H x B^H) s2, s1>, with
-            # A^H psi_j summed over A's row blocks, then mixed as apply_block
-            # mixes.  Above one block the sum rounds unlike one product, but
-            # the left-right gap, at least 16x larger in 200 trials at N = 65
-            # to 130, sets the row's value.
-            a_h_psi = None
+            b12 = b1 @ b2
+            left, right = np.empty_like(s1.amps), np.empty_like(s1.amps)
             for rows in _row_slices(n):
                 a = _complex_normal(a1, (count, rows.stop - rows.start, n))
-                forward[..., rows] = rows_of(a, b1, s1)
                 left[..., rows] = rows_of(a, b1, inner)
                 right[..., rows] = rows_of(a @ a2, b12, s1)
-                a_h = np.swapaxes(np.conjugate(a, out=a), -1, -2)
-                term = (a_h[..., None, :, :] @ s2.amps[..., rows, None])[..., 0]
-                a_h_psi = term if a_h_psi is None else a_h_psi + term
-                del a, a_h  # freed before the next block's rows are drawn
+                del a  # freed before the next block's rows are drawn
             expectation = qubit.expectation_equality(s1, a2, b2)[2]
-            del a2  # freed before the unit row builds its N x N identity
-            adj = (b1_h[..., :, 0, None] * a_h_psi[..., None, 0, :]
-                   + b1_h[..., :, 1, None] * a_h_psi[..., None, 1, :])
+            # adjoint: <s2, iota(A2 x B2) s1> = <iota(A2^H x B2^H) s2, s1>, and
+            # iota(A^H x B^H) psi = conj(iota(A^T x B^T) conj(psi)) on transposed views
+            transposed = qubit.iota(np.swapaxes(a2, -1, -2), np.swapaxes(b2, -1, -2))
+            adj = qubit.apply_block(transposed, doublet._state(grid, s2.amps.conj())).amps.conj()
+            del a2, transposed  # freed before the unit row builds its N x N identity
             unit = qubit.apply_block(qubit.iota(np.eye(n, dtype=complex), qubit.ID2), s1)
             yield [iso, reduce(np.maximum, [
                 _trial_gap(unit.amps, s1.amps), _trial_gap(left, right),
-                doublet._cabs(doublet._vdot(s2.amps, forward) - doublet._vdot(adj, s1.amps))]),
+                doublet._cabs(doublet._vdot(s2.amps, inner.amps) - doublet._vdot(adj, s1.amps))]),
                 expectation]
     results = _sampled_rows([("sector isometry preserves inner products", 1e-12, ""),
                              ("observable embedding is a unital *-homomorphism", 1e-10, ""),

@@ -165,6 +165,17 @@ def _boost_by_the_first_trials_shift(orig):
     return lambda s, rapidity: orig(s, np.ravel(rapidity)[0])
 
 
+def _block_action_similar_not_unitary(orig):
+    """S^-1 iota(A x B) S, S halving the forward sector: unital and multiplicative, not *."""
+    def apply(op, s):
+        amps = s.amps.copy()
+        amps[..., 0, :] *= 0.5
+        moved = orig(op, _doublet(s, amps)).amps.copy()
+        moved[..., 0, :] *= 2.0
+        return _doublet(s, moved)
+    return apply
+
+
 def _swap_with_the_first_samples_projector(orig):
     def swap(theta, phi):
         s = orig(theta, phi)
@@ -218,6 +229,9 @@ PLANTED_DEFECTS = [
                  lambda orig: lambda op, s: orig(
                      qubit.BlockOperator(op.a, np.swapaxes(op.b, -1, -2)), s),
                  id="block-action-transposes-b"),
+    # scaling by powers of 2 keeps unit and product exact, so only the *-part catches it
+    pytest.param("bell", BELL_CHECK_ROWS[1][0], qubit, "apply_block",
+                 _block_action_similar_not_unitary, id="block-action-similar-not-unitary"),
     # A x conj(B) is still a unital *-homomorphism, so only the dictionary breaks
     pytest.param("bell", BELL_CHECK_ROWS[2][0], qubit, "apply_block",
                  lambda orig: lambda op, s: orig(qubit.BlockOperator(op.a, op.b.conj()), s),

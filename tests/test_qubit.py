@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,41 @@ def test_factored_iota_matches_the_dense_oracle(n):
         s = random_state(rng, grid)
         reference = np.kron(b, a) @ s.amps.ravel()
         assert np.max(np.abs(apply_block(op, s).amps.ravel() - reference)) < 1e-12
+
+
+def _adjoint_by_transposes(a, b, s):
+    """iota(A^H x B^H) s as conj(iota(A^T x B^T) conj(s)), A^T and B^T swapaxes views."""
+    transposed = iota(np.swapaxes(a, -1, -2), np.swapaxes(b, -1, -2))
+    return apply_block(transposed, doublet._state(s.grid, s.amps.conj())).amps.conj()
+
+
+@pytest.mark.parametrize("n", [1, 8, 65])
+def test_adjoint_through_transposed_views_matches_the_dense_oracle(n):
+    rng = np.random.default_rng(90 + n)
+    grid = FrequencyGrid(1.0, 1.25, n)
+    trials = 3
+    stack = doublet._state(grid, np.array([random_state(rng, grid).amps for _ in range(trials)]))
+    a = rng.standard_normal((trials, n, n)) + 1j * rng.standard_normal((trials, n, n))
+    b = rng.standard_normal((trials, 2, 2)) + 1j * rng.standard_normal((trials, 2, 2))
+    adjoint = _adjoint_by_transposes(a, b, stack)
+    for i in range(trials):
+        reference = dense(iota(a[i], b[i])).conj().T @ stack.amps[i].ravel()
+        assert np.max(np.abs(adjoint[i].ravel() - reference)) < 1e-12
+
+
+def test_block_action_on_transposed_views_copies_no_matrix():
+    n = 256
+    rng = np.random.default_rng(93)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    s = random_state(rng, FrequencyGrid(1.0, 1.25, n))
+    tracemalloc.start()
+    try:
+        _adjoint_by_transposes(a, b, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < a.nbytes, peak
 
 
 def test_iota_validates_its_factors():
