@@ -41,10 +41,10 @@ from .group import (
     z_orbit,
 )
 from .qubit import (
-    TwoQubitState,
     entanglement_entropy,
     expectation_equality,
     iota,
+    reduced_state,
     sector_isometry,
     u_lambda_conjugation_check,
 )
@@ -58,8 +58,8 @@ __all__ = [
     "expected_correlation", "run_trials", "sweep_phase",
     "ExtPoincareElement", "OrbitClass", "alpha_z",
     "classify_orbit", "make_lambda_inf", "minkowski", "poincare_mul", "z_orbit",
-    "TwoQubitState", "entanglement_entropy",
-    "expectation_equality", "iota", "sector_isometry",
+    "entanglement_entropy", "expectation_equality", "iota", "reduced_state",
+    "sector_isometry",
     "u_lambda_conjugation_check",
     "__version__",
 ]

@@ -540,20 +540,15 @@ def bell_checks(grid_size: int = 8, trials: int = 100, seed: int = 0) -> list[Ch
         devs += [gap, abs(lhs - eps), abs(rhs - eps)]
     results.append(_result(name, _dist(devs), 1e-12))
 
-    # one-point doublets through the dictionary: the swap eigenstates are
-    # maximally entangled, the forward-only state is a product, and any (f, b)
-    # has the binary entropy of |f|^2
+    # seven one-point doublets, one stack through reduced_state: the swap
+    # eigenstates are maximally entangled, the forward-only state is a
+    # product, and the four drawn (f, b) have the binary entropy of |f|^2
     name = "entanglement entropy hits 0 and ln 2 at the extremes"
     point = doublet.FrequencyGrid(1.0, 1.25, 1)
-    cases = [(doublet.make_epsilon_eigenstate(point, [1.0], eps), math.log(2.0))
-             for eps in (1, -1)]
-    cases.append((doublet.DoubletState(point, [1.0], [0.0]), 0.0))
-    rng = _stream(seed, name, "states")
-    for _ in range(4):
-        s = _random_doublet(rng, point)
-        p_fwd, p_bwd = np.abs(s.amps[:, 0]) ** 2
-        cases.append((s, -p_fwd * math.log(p_fwd) - p_bwd * math.log(p_bwd)))
-    dev = _dist([qubit.entanglement_entropy(qubit.doublet_to_path_polarization(s))
-                 for s, _ in cases], [entropy for _, entropy in cases])
+    drawn = _doublets(point, _complex_normal(_stream(seed, name, "states"), (4, 2, 1))).amps
+    amps = np.concatenate([[doublet.make_epsilon_eigenstate(point, [1.0], eps).amps
+                            for eps in (1, -1)], [[[1.0], [0.0]]], drawn])
+    dev = _dist(qubit.entanglement_entropy(qubit.reduced_state(doublet._state(point, amps))),
+                [math.log(2.0)] * 2 + [0.0] + [-np.sum(p * np.log(p)) for p in np.abs(drawn) ** 2])
     results.append(_result(name, dev, 1e-12))
     return results

@@ -11,6 +11,9 @@ act state by state along the leading axes, with the bits of one state alone.
 
 Two-qubit states follow the ordered basis (+H, +V, -H, -V): direction qubit
 first, polarization second, with the internal dictionary fwd -> H, bwd -> V.
+A doublet's two-qubit state, reduced_state, is its density matrix with
+frequency traced out; it is pure when the two sectors are parallel, as at
+one point.
 """
 
 from __future__ import annotations
@@ -24,22 +27,6 @@ from .doublet import (DoubletState, FrequencyGrid, _cabs, _item, _state, _vdot,
 
 ID2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-
-
-@dataclass(frozen=True, eq=False)
-class TwoQubitState:
-    """Pure state on direction x polarization, basis (+H, +V, -H, -V)."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        a = np.array(self.amplitudes, dtype=complex)
-        if a.shape != (4,):
-            raise ValueError(f"amplitudes must have shape (4,), got {a.shape}")
-        object.__setattr__(self, "amplitudes", a)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,23 +110,32 @@ def u_lambda_conjugation_check(n: int) -> float:
     return float(np.max(np.abs(conjugated - labels @ PAULI_X.T)))
 
 
-def entanglement_entropy(t: TwoQubitState) -> float:
-    """Von Neumann entropy (nats) of the reduced direction qubit.
+def reduced_state(s: DoubletState) -> np.ndarray:
+    """The (..., 4, 4) two-qubit state that frequency-blind detectors see.
 
-    0 for product states, ln 2 for maximally entangled ones.
+    Point i contributes the pure f_i|+H> + b_i|-V>, so rho = sum_i
+    |psi_i><psi_i| is zero except on its (+H, -V) block, the sector Gram
+    matrix W^T conj(W) with W = sector_isometry(s).  A one-point doublet
+    (f, b) gives the pure state of f|+H> + b|-V>.
     """
-    if abs(t.norm() - 1.0) > 1e-9:
-        raise ValueError(f"state norm deviates from 1 by {abs(t.norm() - 1.0):.3e}")
-    m = t.amplitudes.reshape(2, 2)
-    sv = np.linalg.svd(m, compute_uv=False)
-    probs = sv ** 2
-    probs = probs[probs > 1e-15]
-    return float(-np.sum(probs * np.log(probs)))
+    w = sector_isometry(s)
+    rho = np.zeros(w.shape[:-2] + (4, 4), dtype=complex)
+    rho[..., ::3, ::3] = np.swapaxes(w, -1, -2) @ w.conj()
+    return rho
 
 
-def doublet_to_path_polarization(s: DoubletState) -> TwoQubitState:
-    """Single-mode doublet as a path/polarization state: (f, b) -> f|+H> + b|-V>."""
-    if s.grid.count != 1:
-        raise ValueError("only single-point grids map onto one path/polarization qubit pair")
-    f, b = s.amps[:, 0]
-    return TwoQubitState(np.array([f, 0.0, 0.0, b]))
+def entanglement_entropy(rho):
+    """Von Neumann entropy (nats) of the direction qubit of a pure two-qubit state.
+
+    0 for product states, ln 2 for maximally entangled ones; a float for one
+    (4, 4) rho and an array for a stack.  Raises ValueError unless Tr rho and
+    the purity Tr rho^2 are both within 1e-9 of 1.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    traces = np.trace([rho, rho @ rho], axis1=-2, axis2=-1)  # Tr rho, Tr rho^2
+    gap = np.max(_cabs(traces - 1.0))
+    if not gap <= 1e-9:  # a NaN fails too
+        raise ValueError(f"rho's trace or purity Tr rho^2 deviates from 1 by {gap:.3e}")
+    probs = np.linalg.eigvalsh(rho[..., ::2, ::2] + rho[..., 1::2, 1::2])  # polarization traced out
+    probs = np.where(probs > 1e-15, probs, 1.0)  # 0 log 0 = 0
+    return _item(-np.sum(probs * np.log(probs), axis=-1))

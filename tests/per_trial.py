@@ -4,9 +4,9 @@
 closed form.  This module is what it is tested against, and shares no formula
 with it:
 
-- the prepared state, built from the one-point doublet (1, e^{i phi})/sqrt(2)
-  through ``qubit.doublet_to_path_polarization`` and dephased in the sector
-  basis below unit visibility;
+- the prepared density matrix, built from the one-point doublet
+  (1, e^{i phi})/sqrt(2) through ``qubit.reduced_state`` and dephased in the
+  sector basis below unit visibility;
 - the analyzer chain, a Hadamard on each qubit followed by the computational
   split, as one dense 4x4 matrix, and the Born probabilities it gives;
 - a photon-by-photon sampler: phase jitter, the Born outcome, detector
@@ -22,7 +22,7 @@ import numpy as np
 
 from extpoincare.doublet import DoubletState, FrequencyGrid
 from extpoincare.experiment import ExperimentConfig
-from extpoincare.qubit import PAULI_X, TwoQubitState, doublet_to_path_polarization
+from extpoincare.qubit import PAULI_X, reduced_state
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 ANALYZER = np.kron(HADAMARD, HADAMARD)
@@ -38,49 +38,27 @@ TRIALS_PER_STREAM = 1 << 16
 _ONE_POINT = FrequencyGrid(1.0, 2.0, 1)
 
 
-def density(state: TwoQubitState) -> np.ndarray:
-    """The pure state's density matrix |t><t|."""
-    return np.outer(state.amplitudes, np.conj(state.amplitudes))
+def prepare_state(phi: float, visibility: float = 1.0) -> np.ndarray:
+    """Density matrix after the preparation stage.
 
-
-def prepare_state(phi: float, visibility: float = 1.0):
-    """State after the preparation stage.
-
-    Unit visibility gives the pure state of the one-point doublet
-    (1, e^{i phi})/sqrt(2), which is (1, 0, 0, e^{i phi})/sqrt(2).  Below unit
-    visibility the return value is a 4x4 density matrix, the convex mix of
-    that state with its dephased-in-sector-basis counterpart
-    diag(1/2, 0, 0, 1/2).
+    The one-point doublet (1, e^{i phi})/sqrt(2) gives the pure state of
+    (1, 0, 0, e^{i phi})/sqrt(2).  Below unit visibility that state is mixed
+    with its dephased-in-sector-basis counterpart diag(1/2, 0, 0, 1/2).
     """
     if not 0.0 <= visibility <= 1.0:
         raise ValueError(f"visibility must be in [0, 1], got {visibility}")
-    doublet = DoubletState(_ONE_POINT, [1.0 / math.sqrt(2.0)],
-                           [np.exp(1j * phi) / math.sqrt(2.0)])
-    state = doublet_to_path_polarization(doublet)
-    if visibility == 1.0:
-        return state
-    pure = density(state)
-    dephased = np.diag(np.diag(pure))
-    return visibility * pure + (1.0 - visibility) * dephased
+    pure = reduced_state(DoubletState(_ONE_POINT, [1.0 / math.sqrt(2.0)],
+                                      [np.exp(1j * phi) / math.sqrt(2.0)]))
+    return visibility * pure + (1.0 - visibility) * np.diag(np.diag(pure))
 
 
-def _as_density(state) -> np.ndarray:
-    if isinstance(state, TwoQubitState):
-        return density(state)
-    rho = np.asarray(state, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected a TwoQubitState or 4x4 density matrix, got shape {rho.shape}")
-    return rho
-
-
-def born_probabilities(state) -> dict[tuple[int, int], float]:
+def born_probabilities(rho: np.ndarray) -> dict[tuple[int, int], float]:
     """Joint X x X outcome probabilities through the analyzer chain.
 
     The chain applies the direction Hadamard (the recombining beam splitter)
     and the polarization Hadamard (half-wave plate), then reads the
     computational split of the polarizing beam splitters.
     """
-    rho = _as_density(state)
     tr = float(np.real(np.trace(rho)))
     if abs(tr - 1.0) > 1e-9:
         raise ValueError(f"state trace deviates from 1 by {abs(tr - 1.0):.3e}")

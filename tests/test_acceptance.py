@@ -25,7 +25,7 @@ def test_criterion_1_eigenvalue_correlation():
     started = time.perf_counter()
     for eps, phi in ((1, 0.0), (-1, np.pi)):
         state = per_trial.prepare_state(phi)
-        dense = np.vdot(state.amplitudes, per_trial.XX @ state.amplitudes).real
+        dense = np.trace(per_trial.XX @ state).real
         probs = per_trial.born_probabilities(state)
         summed = per_trial.correlation_from_probabilities(probs)
         assert abs(dense - eps) < 1e-12
@@ -242,10 +242,11 @@ PLANTED_DEFECTS = [
                  lambda orig: lambda grid, psi, epsilon: orig(grid, psi, -epsilon),
                  id="eigenstate-of-the-other-eigenvalue"),
     pytest.param("bell", BELL_CHECK_ROWS[5][0], qubit, "entanglement_entropy",
-                 lambda orig: lambda t: orig(t) / math.log(2.0), id="entropy-in-bits"),
-    # a product state f|+H> + b|+V>: the row must read the dictionary, not only the SVD
-    pytest.param("bell", BELL_CHECK_ROWS[5][0], qubit, "doublet_to_path_polarization",
-                 lambda orig: lambda s: qubit.TwoQubitState([*s.amps[:, 0], 0.0, 0.0]),
+                 lambda orig: lambda rho: orig(rho) / math.log(2.0), id="entropy-in-bits"),
+    # the Gram block on (+H, +V), the product f|+H> + b|+V>: the row must read
+    # the dictionary, not only the sector weights
+    pytest.param("bell", BELL_CHECK_ROWS[5][0], qubit, "reduced_state",
+                 lambda orig: lambda s: orig(s)[..., [0, 3, 1, 2], :][..., [0, 3, 1, 2]],
                  id="dictionary-sends-b-to-plus-v"),
     pytest.param("momentum", GROUP_CHECK_ROWS[0][0], group, "coordinate_swap",
                  _swap_with_the_first_samples_projector, id="stacked-swap-one-projector"),

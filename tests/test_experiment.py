@@ -20,12 +20,9 @@ from per_trial import (DETECTORS, XX, born_probabilities, correlation_from_proba
 
 
 def test_prepare_state_examples():
-    plus = prepare_state(0.0)
-    assert np.max(np.abs(plus.amplitudes - np.array([1, 0, 0, 1]) / np.sqrt(2))) < 1e-12
-    minus = prepare_state(np.pi)
-    assert np.max(np.abs(minus.amplitudes - np.array([1, 0, 0, -1]) / np.sqrt(2))) < 1e-12
-    quarter = prepare_state(np.pi / 2)
-    assert np.max(np.abs(quarter.amplitudes - np.array([1, 0, 0, 1j]) / np.sqrt(2))) < 1e-12
+    for phi, last in ((0.0, 1), (np.pi, -1), (np.pi / 2, 1j)):
+        psi = np.array([1, 0, 0, last]) / np.sqrt(2)
+        assert np.max(np.abs(prepare_state(phi) - np.outer(psi, psi.conj()))) < 1e-12
 
 
 def test_prepare_state_mixed_is_a_density_matrix():
@@ -72,7 +69,7 @@ def test_born_probabilities_sum_to_one_with_uniform_marginals(phi, v):
 def test_expectation_two_ways_equals_the_swap_eigenvalue():
     for eps, phi in ((1, 0.0), (-1, np.pi)):
         state = prepare_state(phi)
-        dense = np.vdot(state.amplitudes, XX @ state.amplitudes).real
+        dense = np.trace(XX @ state).real
         from_counts = correlation_from_probabilities(born_probabilities(state))
         assert dense == pytest.approx(eps, abs=1e-12)
         assert from_counts == pytest.approx(eps, abs=1e-12)

@@ -50,7 +50,7 @@ GOLDEN = {
     "rep-check --seed 0":
         "65e553de3d4cd1175d12b1ffedb3ac636256d418f1e8c4637a7eff95c86df52c",
     "bell-check --seed 0":
-        "6c7c9e75b710b847119dd5ea55c29199d085265e0bbf527e4f66bd2863c049aa",
+        "142de65235352af5ee21c65e973da090e0bbb4827f250a92fa1c3c1eecffb807",
     "group-check --seed 1":
         "ff069b5ce2e68bab00e89d89e29a184b2cc89adea6ceaf73d3554b179d6f7729",
     "group-check --convention coordinate --seed 1":
@@ -58,7 +58,7 @@ GOLDEN = {
     "rep-check --seed 1":
         "334fe128e1cde7d6827e468180bd22c62946821845def5828508ffc75b566c08",
     "bell-check --seed 1":
-        "b9eab30882626f95bf55a7b761c83860b46dd38a71d2f601536d8b801d4f1fac",
+        "76bda1a3ded3ac677884f5fadfbad822a982b8757ceee9813a5d5af5c504d9ad",
     "group-check --seed 2":
         "757f2e4c6ec5c06243e380b4e3e05e869803de3df6eee631a6fa217444e3fe42",
     "group-check --convention coordinate --seed 2":
@@ -66,7 +66,7 @@ GOLDEN = {
     "rep-check --seed 2":
         "b836d7ce107cdbe036c9cf1a7ba884510fb1896e9efd84e196e4e88f336ce961",
     "bell-check --seed 2":
-        "3e1a57d47dee332d5871ca9cfbaf18c62424d2cf32c4c9d3b831010462d6d619",
+        "ae157f15db1e2850c26a5582c61568380e113d2042ba958a382bb4496253b182",
     "group-check --seed 3":
         "fb7d44ef5285c68923d7126643c079eee09896156c726677d5c0b3d5432ee6ed",
     "group-check --convention coordinate --seed 3":
@@ -90,13 +90,13 @@ GOLDEN = {
     "rep-check --seed 5":
         "78c91fbdaa63ce0fbbbb7cab91a93e8c1a5342cbe96a6328c1f42fdbbfdb3c81",
     "bell-check --seed 5":
-        "04ff9bc8d62b245d702a0ff0b9d05de60d61fab3138e8b0beccfd603d8997820",
+        "f22b6206fee13e2383bb0aabeccaf32d4f9a58277981df2b262be4af29abe03d",
     "group-check --format json --seed 1":
         "95684bfc961825f110d9eef659f93d8fcbc725a58b2e4a4072dd6ab8716a97e1",
     "rep-check --format json --seed 1":
         "0f2081ef78c71ed264a9195500414b5389f159dd0848002cc8b90967c818d557",
     "bell-check --format json --seed 1":
-        "5a046bedcb447834eefe87a659e594b96765e16db5ed61985faf650814531317",
+        "6b11cc74c4437059ec628bdc2645ff7afb7804a30b36ab170394575fb468502f",
     "group-check --samples 5000 --seed 2":
         "bb2c216e7de84df4b8acb05a5761fccdbb40c881710ef53f43f6230f3e6b9524",
     # block edges: 4096 + 4096 + 1 samples, one sample, 256 + 1 and 64 + 64 + 1 trials
@@ -107,7 +107,7 @@ GOLDEN = {
     "rep-check --trials 257 --seed 2":
         "7b3733d054283d4092bd02872bd60c5cd196e269fec390ae0df377afb9ab421e",
     "bell-check --trials 129 --seed 2":
-        "330e90d292c3d7aa18c97cabc472b1a2076e493ae615f60ada47535e9c0e616e",
+        "9832f73e4326cef8d15685628b5b70004744b5cec906b66b41615c8c284e338a",
     "rep-check --grid-size 4096 --trials 20 --seed 0":
         "c3c5ebe941d9d3e7c91f0afc249736a4a7dfde03cf3e5da4379ccbd161825521",
     "rep-check --grid-size 4096 --trials 20 --seed 1":
@@ -121,25 +121,25 @@ GOLDEN = {
     "rep-check --grid-size 1 --trials 3 --seed 0":
         "86e851219f431778be50b68aa8503a59ffd017de6d98aca2e4b9390ab708157d",
     "bell-check --grid-size 1024 --trials 1 --seed 0":
-        "4651fe5999f20f9d2a52d62f92ddea6036d88315bf8d39cdfba846c7152550d6",
+        "4dc49e2bc7b5b0fded1ce9b3459df07a47c9349d7845f8fa654b5ad9d758fd35",
     "bell-check --grid-size 128 --trials 20 --seed 0":
-        "c0bc2fe7c828b1b2ae5b2119a880e9ad679720ab61baabfd18cbefff892495ae",
+        "49325a97bc8fa6b22160574c04d571e36f80030a063764a87730c1e806072ffa",
     "bell-check --grid-size 1 --trials 5 --seed 0":
-        "2b8722bb2fb44edaed3ed95aceadb371faed2c1d2c17cde3671ac5ead3153ff6",
+        "bdfa5a7f507a051507c6f766d97c1e893e87df0cd92ef7ac22392fea5c46dbed",
     "bell-check --grid-size 5 --trials 2 --seed 0":
-        "08144fd645141c232cfa821ce8710078710461ee2c9a0027f9afd6e207900a01",
+        "81ac109b36f80515746d7ffdc05a83ca049c863c33aee0db043f88ddfbf6302c",
     "bell-check --grid-size 46 --trials 2 --seed 0":
-        "54b1219a7a49c6c64037cae676856827b8f9ca6a826cccef9dd709d8c4f8f5d9",
+        "56ea6bc5221dcfb4ea74f744a251a4c0e5bae95e786638bdf396a33f070e92bf",
     "bell-check --grid-size 65 --trials 2 --seed 0":
-        "61e66f9fcbafe95f1d5228620e6609f0d57c9a7f3f6caf76e553e51d0461cae0",
+        "2e97e6798d5357f83ec2c22ae46ffd7a9287b92dfcc127b06372bce1e830fe7a",
     "bell-check --grid-size 66 --trials 2 --seed 0":
-        "ba916e6e2bc073cb4894c62e1ad6811d73527ef9abc720fc1e0abc4692fea2cc",
+        "94ad8395218587fbbb89ab8f2f645d60fbf091c5cf407b1c656dcb2db0686c07",
     # N = 64, whose 64^2 = 4096 matrix entries are one TRIAL_BLOCK, and
     # N = 200, past it, over three trials
     "bell-check --grid-size 64":
-        "1892404be3fcb8249ddb9c70da273a6719778f681f9fedbb5deb0397e40ca7c9",
+        "45555e5a0b33e6bb3076f647ac420fcae66a46357773141011975f76e69ee79d",
     "bell-check --grid-size 200 --trials 3 --seed 0":
-        "45b38559751c377107848dd7c3c834b87138d04e680d995d20b75802283959bf",
+        "37a37bb3ceab9994844724b69dbab231f569d60a9a7700a093cf152892d266c7",
     "orbit 1 0 0 1":
         "55680dc0bbbcae4797e99c946f24f18e1fe23025dc432a5474b9f730a1c90a8e",
     "orbit 2 0.3 -0.4 1 --theta 0.3 --phi 1.1":

@@ -8,11 +8,10 @@ from extpoincare.doublet import DoubletState, FrequencyGrid, apply_u_lambda_inf,
 from extpoincare.qubit import (
     ID2,
     PAULI_X,
-    TwoQubitState,
     apply_block,
-    doublet_to_path_polarization,
     entanglement_entropy,
     iota,
+    reduced_state,
     sector_isometry,
     u_lambda_block,
     u_lambda_conjugation_check,
@@ -182,31 +181,69 @@ def test_swap_action_through_the_isometry():
         assert np.max(np.abs(left - right)) < 1e-12
 
 
+def pure(psi):
+    """|psi><psi| of a two-qubit amplitude vector."""
+    psi = np.asarray(psi, dtype=complex)
+    return np.outer(psi, psi.conj())
+
+
+PLUS_H, MINUS_V = np.kron([1, 0], [1, 0]), np.kron([0, 1], [0, 1])
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 31])
+def test_reduced_state_is_the_dense_sum_over_points(n):
+    # point i of (f, b) is the pure f_i|+H> + b_i|-V>; detectors blind to
+    # frequency see the sum of their projectors
+    rng = np.random.default_rng(90 + n)
+    grid = FrequencyGrid(1.0, 1.25, n)
+    for _ in range(200):
+        s = random_state(rng, grid)
+        want = sum(pure(f * PLUS_H + b * MINUS_V) for f, b in zip(*s.amps))
+        assert np.max(np.abs(reduced_state(s) - want)) < 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 7, 31])
+def test_reduced_state_of_a_stack_gives_the_bits_of_single_calls(n):
+    rng = np.random.default_rng(95 + n)
+    grid = FrequencyGrid(1.0, 1.25, n)
+    singles = [random_state(rng, grid) for _ in range(3)]
+    stacked = reduced_state(doublet._state(grid, np.array([s.amps for s in singles])))
+    assert stacked.shape == (3, 4, 4)
+    for rho, s in zip(stacked, singles):
+        assert rho.tobytes() == reduced_state(s).tobytes()
+
+
 def test_entropy_of_product_state():
-    assert entanglement_entropy(TwoQubitState([1, 0, 0, 0])) == pytest.approx(0.0, abs=1e-12)
+    assert entanglement_entropy(pure([1, 0, 0, 0])) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_entropy_of_bell_like_states():
-    bell = TwoQubitState(np.array([1, 0, 0, 1]) / np.sqrt(2))
+    bell = pure(np.array([1, 0, 0, 1]) / np.sqrt(2))
     assert entanglement_entropy(bell) == pytest.approx(np.log(2), abs=1e-12)
-    for phase in np.linspace(0, 2 * np.pi, 7):
-        state = TwoQubitState(np.array([1, 0, 0, np.exp(1j * phase)]) / np.sqrt(2))
-        assert entanglement_entropy(state) == pytest.approx(np.log(2), abs=1e-12)
+    states = [pure(np.array([1, 0, 0, np.exp(1j * phase)]) / np.sqrt(2))
+              for phase in np.linspace(0, 2 * np.pi, 7)]
+    for rho in states:
+        assert isinstance(entanglement_entropy(rho), float)
+        assert entanglement_entropy(rho) == pytest.approx(np.log(2), abs=1e-12)
+    stacked = entanglement_entropy(np.array(states))
+    assert stacked.shape == (7,)
+    assert stacked.tolist() == [entanglement_entropy(rho) for rho in states]
 
 
 def test_entropy_rejects_unnormalized_states():
-    with pytest.raises(ValueError, match="norm"):
-        entanglement_entropy(TwoQubitState([1, 0, 0, 1]))
+    # a pure state at half trace, a dephased mixture of trace 1, and NaN
+    for rho in (pure(np.array([1, 0, 0, 1]) / np.sqrt(2)) / 2, np.diag([0.5, 0, 0, 0.5]),
+                np.full((4, 4), np.nan)):
+        with pytest.raises(ValueError, match="purity"):
+            entanglement_entropy(rho)
 
 
 def test_single_mode_doublet_maps_to_path_polarization():
     grid = FrequencyGrid(1.0, 2.0, 1)
     for eps in (1, -1):
         s = make_epsilon_eigenstate(grid, np.array([1.0]), eps)
-        t = doublet_to_path_polarization(s)
-        expected = np.array([1, 0, 0, eps]) / np.sqrt(2)
-        assert np.max(np.abs(t.amplitudes - expected)) < 1e-12
-
+        bell = pure(np.array([1, 0, 0, eps]) / np.sqrt(2))
+        assert np.max(np.abs(reduced_state(s) - bell)) < 1e-15
 
 
 @pytest.mark.parametrize("n", [8, 256])
